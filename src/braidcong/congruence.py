@@ -10,12 +10,14 @@ the coset table, followed by an integer Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
 from random import Random
 
 from . import matrices
-from .matrices import IntMatrix, mat_mul
+# mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
+from .matrices import IntMatrix, mat_mul  # noqa: F401
 from .burau import ModularMatrix, burau_matrix_mod
-from .smith import SmithForm, smith_normal_form
+from .smith import smith_normal_form
 from .words import BraidWord, random_word
 
 __all__ = [
@@ -313,16 +315,24 @@ def abelianization(
 
     Relation rows are the rewritten Artin relators traced from every coset,
     plus one unit row per tree edge; all of the Schreier generators are kept
-    as columns and the Smith normal form absorbs the redundancy.  Tables with
-    more than coset_cap cosets are refused; pass a larger cap to override.
+    as columns and the Smith normal form absorbs the redundancy; its sparse
+    stage eliminates the tree-edge rows first.  Tables with more than
+    coset_cap cosets are refused as soon as the enumeration passes the cap;
+    pass a larger cap to override.
     """
-    table = coset_table(n, m, element_cap)
-    size = table.size
-    if size > coset_cap:
+    if coset_cap < 1:
+        raise ValueError(f"coset cap must be positive, got {coset_cap}")
+    try:
+        table = coset_table(n, m, min(element_cap, coset_cap))
+    except LimitExceeded as err:
+        if coset_cap >= element_cap:
+            raise
         raise LimitExceeded(
-            f"index {size} of ({n}, {m}) exceeds the coset cap {coset_cap}",
-            partial=size,
-        )
+            f"index of ({n}, {m}) exceeds the coset cap {coset_cap}; "
+            f"partial size {err.partial}",
+            partial=err.partial,
+        ) from err
+    size = table.size
     degree = size * (n - 1)
     relators = artin_relators(n)
     rows: list[list[int]] = []
@@ -381,8 +391,11 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     """Matrix of conjugation by a braid word on the subgroup abelianization.
 
     Each Schreier generator s maps to the rewritten coordinates of
-    w^{-1} s w; the full coordinate matrix is conjugated into the Smith basis
-    and restricted to the free block.
+    w^{-1} s w.  Of that coordinate matrix conjugated into the Smith basis,
+    R^-1 theta R, only the columns read are formed, as R^-1 (theta R[:, wanted])
+    over the nonzero coefficients: the free columns, which give the free block
+    and the check that the relation lattice is preserved, and the torsion
+    columns, which give the torsion leak.
     """
     if w.n != ab.n:
         raise ValueError(f"strand count mismatch: {w.n} vs {ab.n}")
@@ -390,27 +403,45 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     n = ab.n
     degree = ab.num_generators
     winv = w.inverse()
-    theta = []
+    rank = ab.rank
+    torsion = [t for t in range(rank) if ab.diagonal[t] > 1]
+    wanted = torsion + list(range(rank, degree))
+    right_wanted = [[row[s] for s in wanted] for row in ab.right]
+    # theta R[:, wanted], one row per Schreier generator s: the coordinates
+    # of w^-1 s w times R
+    theta_right = []
     for c in range(table.size):
         tau = BraidWord(n, table.transversals[c])
         for i in range(1, n):
             target = table.trace(c + 1, BraidWord(n, (i,)))
             gen_word = tau * BraidWord(n, (i,)) * table.transversal(target).inverse()
-            theta.append(list(subgroup_coordinates(table, winv * gen_word * w)))
-    conjugated = mat_mul(mat_mul(ab.right_inverse, tuple(map(tuple, theta))), ab.right)
-    rank = ab.rank
+            coords = subgroup_coordinates(table, winv * gen_word * w)
+            theta_right.append(_sparse_combination(coords, right_wanted, len(wanted)))
+    conjugated = [
+        _sparse_combination(row, theta_right, len(wanted)) for row in ab.right_inverse
+    ]
+    k = len(torsion)
     for t in range(rank):
-        for s in range(rank, degree):
-            if conjugated[t][s]:
-                raise RuntimeError("action does not preserve the relation lattice")
+        if any(conjugated[t][k:]):
+            raise RuntimeError("action does not preserve the relation lattice")
     leaks = []
     for s in range(rank, degree):
-        for t in range(rank):
+        for j, t in enumerate(torsion):
             d = ab.diagonal[t]
-            if d > 1 and conjugated[s][t] % d:
-                leaks.append((s - rank, t, conjugated[s][t] % d))
-    free_block = tuple(tuple(row[rank:]) for row in conjugated[rank:])
+            if conjugated[s][j] % d:
+                leaks.append((s - rank, t, conjugated[s][j] % d))
+    free_block = tuple(tuple(row[k:]) for row in conjugated[rank:])
     return ActionMatrix(matrix=free_block, word=w, torsion_leak=tuple(leaks))
+
+
+def _sparse_combination(coeffs, rows: list, width: int) -> list[int]:
+    # sum of coeffs[k] * rows[k] over the nonzero coefficients
+    out = [0] * width
+    for q, row in compress(zip(coeffs, rows), coeffs):
+        for j, x in enumerate(row):
+            if x:
+                out[j] += q * x
+    return out
 
 
 def divisibility_check(n: int, m: int, k: int, samples: int, seed: int = 0) -> bool:

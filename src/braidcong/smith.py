@@ -7,7 +7,9 @@ divisibility chain d_1 | d_2 | ... on its positive entries.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from itertools import compress
 
 from .matrices import IntMatrix, identity
 
@@ -31,12 +33,151 @@ class SmithForm:
 def smith_normal_form(matrix) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Pivot choice is the globally smallest nonzero entry by absolute value,
-    which keeps intermediate entries small in practice.
+    Two stages.  Sparse elimination first takes unit pivots (entries +-1) of
+    least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), so rows
+    with a single unit entry go first; each pivot clears its column by row
+    operations and its row by column operations.  The residual block, which
+    has no unit entry left, is then reduced by the dense smallest-entry loop
+    of _dense_smith, and its transforms are composed into the sparse ones.
+    """
+    matrix = list(matrix)
+    rows = [dict(compress(enumerate(row), row)) for row in matrix]
+    nrows = len(rows)
+    ncols = len(matrix[0]) if nrows else 0
+    # holders[c]: the rows with a nonzero entry in column c
+    holders: list[set[int]] = [set() for _ in range(ncols)]
+    for r, row in enumerate(rows):
+        for c in row:
+            holders[c].add(r)
+    # sparse transforms: rows of left, columns of right, rows of right^-1
+    left = [{r: 1} for r in range(nrows)]
+    right_cols = [{c: 1} for c in range(ncols)]
+    rinv = [{c: 1} for c in range(ncols)]
+
+    def cost(r: int, c: int) -> int:
+        return (len(rows[r]) - 1) * (len(holders[c]) - 1)
+
+    heap = [
+        (cost(r, c), r, c) for r, row in enumerate(rows) for c, x in row.items() if x in (1, -1)
+    ]
+    heapq.heapify(heap)
+    pivots = []
+    while heap:
+        stored, p, c = heapq.heappop(heap)
+        x = rows[p].get(c)
+        if x not in (1, -1):
+            continue
+        current = cost(p, c)
+        if current > stored:
+            heapq.heappush(heap, (current, p, c))
+            continue
+        pivot_row = rows[p]
+        if x < 0:
+            for k in pivot_row:
+                pivot_row[k] = -pivot_row[k]
+            left[p] = {k: -y for k, y in left[p].items()}
+        for k in pivot_row:
+            holders[k].discard(p)
+        for r in holders[c]:
+            row = rows[r]
+            q = row[c]
+            for k, y in pivot_row.items():
+                z = row.get(k, 0) - q * y
+                if z:
+                    if k not in row:
+                        holders[k].add(r)
+                    row[k] = z
+                else:
+                    del row[k]
+                    if k != c:
+                        holders[k].discard(r)
+            _add_multiple(left[r], left[p], q)
+            for k, z in row.items():
+                if z in (1, -1):
+                    heapq.heappush(heap, (cost(r, k), r, k))
+        holders[c] = set()
+        # column c now holds only the pivot, so clearing row p by column
+        # operations changes the transforms and not the remaining matrix
+        for k, q in pivot_row.items():
+            if k != c:
+                _add_multiple(right_cols[k], right_cols[c], q)
+        rinv[c] = pivot_row
+        rows[p] = {}
+        pivots.append((p, c))
+
+    # the residual block: rows and columns that still hold a nonzero entry
+    res_rows = [r for r in range(nrows) if rows[r]]
+    res_cols = [c for c in range(ncols) if holders[c]]
+    col_pos = {c: j for j, c in enumerate(res_cols)}
+    block = [[0] * len(res_cols) for _ in res_rows]
+    for i, r in enumerate(res_rows):
+        for c, x in rows[r].items():
+            block[i][col_pos[c]] = x
+    dense = _dense_smith(block, len(res_cols))
+
+    # pivots first, then the residual block, then the rows and columns
+    # that were left empty without a pivot
+    pivot_rows = {p for p, _ in pivots}
+    pivot_cols = {c for _, c in pivots}
+    spare_rows = [r for r in range(nrows) if not rows[r] and r not in pivot_rows]
+    spare_cols = [c for c in range(ncols) if not holders[c] and c not in pivot_cols]
+    row_order = [left[p] for p, _ in pivots]
+    row_order += [_combine(coeffs, res_rows, left) for coeffs in dense.left]
+    row_order += [left[r] for r in spare_rows]
+    columns = [right_cols[c] for _, c in pivots]
+    columns += [_combine(coeffs, res_cols, right_cols) for coeffs in zip(*dense.right)]
+    columns += [right_cols[c] for c in spare_cols]
+    inverse = [rinv[c] for _, c in pivots]
+    inverse += [_combine(coeffs, res_cols, rinv) for coeffs in dense.right_inverse]
+    inverse += [rinv[c] for c in spare_cols]
+
+    diagonal = (1,) * len(pivots) + dense.diagonal
+    diagonal += (0,) * (min(nrows, ncols) - len(diagonal))
+    return SmithForm(
+        rows=nrows,
+        cols=ncols,
+        diagonal=diagonal,
+        rank=sum(1 for d in diagonal if d),
+        left=tuple(_dense_row(row, nrows) for row in row_order),
+        right=tuple(zip(*(_dense_row(column, ncols) for column in columns))),
+        right_inverse=tuple(_dense_row(row, ncols) for row in inverse),
+    )
+
+
+def _add_multiple(dst: dict, src: dict, q: int) -> None:
+    # dst -= q * src on sparse vectors
+    for k, x in src.items():
+        y = dst.get(k, 0) - q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def _combine(coeffs, keys: list[int], vectors: list[dict]) -> dict:
+    # sum of coeffs[j] * vectors[keys[j]] as a sparse vector
+    out: dict[int, int] = {}
+    for q, key in zip(coeffs, keys):
+        if q:
+            _add_multiple(out, vectors[key], -q)
+    return out
+
+
+def _dense_row(row: dict, length: int) -> tuple[int, ...]:
+    out = [0] * length
+    for k, x in row.items():
+        out[k] = x
+    return tuple(out)
+
+
+def _dense_smith(matrix, ncols: int) -> SmithForm:
+    """The dense smallest-entry Smith loop on a list of rows with ncols columns.
+
+    Pivot choice is the smallest nonzero entry of the trailing block by
+    absolute value, which keeps intermediate entries small in practice.
     """
     m = [list(row) for row in matrix]
     nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
     left = [list(row) for row in identity(nrows)]
     right = [list(row) for row in identity(ncols)]
     rinv = [list(row) for row in identity(ncols)]

@@ -205,8 +205,39 @@ def test_abelianization_known_ranks():
 
 
 def test_abelianization_respects_coset_cap():
-    with pytest.raises(LimitExceeded):
+    # the enumeration stops at the coset cap instead of finishing the image
+    with pytest.raises(LimitExceeded, match="coset cap 5") as err:
         abelianization(3, 3, coset_cap=5)
+    assert err.value.partial == 5
+    with pytest.raises(LimitExceeded, match="element cap 5") as err:
+        abelianization(3, 3, coset_cap=10, element_cap=5)
+    assert err.value.partial == 5
+    assert abelianization(3, 3, coset_cap=24).table.size == 24
+    with pytest.raises(ValueError):
+        abelianization(3, 3, coset_cap=0)
+
+
+def _sl2_order(m):
+    order = m**3
+    for p in range(2, m + 1):
+        if m % p == 0 and all(p % q for q in range(2, p)):
+            order = order * (p * p - 1) // (p * p)
+    return order
+
+
+def test_abelianization_three_strand_ranks_match_the_closed_form():
+    """Independent oracle: B3[m] is Z times a free group of rank 1 + |SL2(Z/m)|/12.
+
+    The level-m subgroup modulo the center Z embeds in PSL2(Z), of Euler
+    characteristic -1/6, with index |SL2(Z/m)|/2 for m >= 3.
+    """
+    ranks = []
+    for m in range(3, 9):
+        ab = abelianization(3, m)
+        assert ab.invariant_factors == ()
+        assert ab.free_rank == 2 + _sl2_order(m) // 12
+        ranks.append(ab.free_rank)
+    assert ranks == [4, 6, 12, 14, 30, 34]
 
 
 def test_class_vector_of_pure_words_matches_linking_numbers():
@@ -234,9 +265,28 @@ def test_class_vector_of_pure_words_matches_linking_numbers():
 
 
 def test_conjugation_action_central_twist():
-    for m in (3, 4):
+    for m in (3, 4, 7):
         ab = abelianization(3, m)
         assert conjugation_action(ab, full_twist(3)).is_identity()
+
+
+def test_conjugation_action_matches_the_dense_product():
+    """Oracle: the free block of the full product R^-1 theta R."""
+    rng = Random(712)
+    for n, m in ((3, 4), (4, 2)):
+        ab = abelianization(n, m)
+        table = ab.table
+        for _ in range(3):
+            w = random_word(rng, n, 10)
+            theta = []
+            for c in range(1, table.size + 1):
+                for i in range(1, n):
+                    s = BraidWord(n, (i,))
+                    gen = table.transversal(c) * s * table.transversal(table.trace(c, s)).inverse()
+                    theta.append(subgroup_coordinates(table, w.inverse() * gen * w))
+            full = mat_mul(mat_mul(ab.right_inverse, tuple(theta)), ab.right)
+            free_block = tuple(tuple(row[ab.rank :]) for row in full[ab.rank :])
+            assert conjugation_action(ab, w).matrix == free_block
 
 
 def test_conjugation_action_level_two_faithful_on_cosets():

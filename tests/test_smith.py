@@ -3,7 +3,7 @@
 from random import Random
 
 from braidcong.matrices import determinant, identity, mat_mul, mat_vec
-from braidcong.smith import kernel_basis, smith_normal_form, solve_integer
+from braidcong.smith import _dense_smith, kernel_basis, smith_normal_form, solve_integer
 
 
 def _random_matrix(rng, rows, cols, bound=9):
@@ -95,3 +95,95 @@ def test_kernel_basis():
     basis = kernel_basis(((1, 1), (1, 1)))
     assert len(basis) == 1
     assert mat_vec(((1, 1), (1, 1)), basis[0]) == (0, 0)
+
+
+def _sparse_matrix(rng, rows, cols, density=0.12):
+    return tuple(
+        tuple(
+            rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < density else 0
+            for _ in range(cols)
+        )
+        for _ in range(rows)
+    )
+
+
+def test_sparse_forms_match_the_dense_loop():
+    rng = Random(504)
+    for _ in range(12):
+        rows = rng.randint(36, 44)
+        cols = rng.randint(36, 44)
+        a = _sparse_matrix(rng, rows, cols, density=rng.choice((0.05, 0.12, 0.25)))
+        s = _check_form(a)
+        dense = _dense_smith(a, cols)
+        assert s.diagonal == dense.diagonal
+        assert s.rank == dense.rank
+
+
+def _scramble(rng, a, steps):
+    # random sparse unimodular row and column operations
+    m = [list(row) for row in a]
+    rows, cols = len(m), len(m[0])
+    for _ in range(steps):
+        q = rng.choice((-2, -1, 1, 2))
+        if rng.random() < 0.5:
+            i, j = rng.sample(range(rows), 2)
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+        else:
+            i, j = rng.sample(range(cols), 2)
+            for row in m:
+                row[i] += q * row[j]
+        if rng.random() < 0.1:
+            i, j = rng.sample(range(rows), 2)
+            m[i], m[j] = m[j], m[i]
+    return tuple(map(tuple, m))
+
+
+def test_scrambled_known_diagonals():
+    rng = Random(505)
+    cases = (
+        ((1, 1, 2, 6, 0, 0), 8, 7),
+        ((1, 3, 3, 9, 18), 5, 9),
+        ((2, 2, 4), 6, 3),
+        ((1, 1, 1, 5, 0), 12, 5),
+    )
+    for diagonal, rows, cols in cases:
+        a = tuple(
+            tuple(diagonal[r] if r == c and r < len(diagonal) else 0 for c in range(cols))
+            for r in range(rows)
+        )
+        for steps in (5, 20, 60):
+            scrambled = _scramble(rng, a, steps)
+            s = _check_form(scrambled)
+            expect = diagonal + (0,) * (min(rows, cols) - len(diagonal))
+            assert s.diagonal == expect
+
+
+def _rank_mod(a, p):
+    m = [[x % p for x in row] for row in a]
+    rank = 0
+    for c in range(len(m[0]) if m else 0):
+        pivot = next((r for r in range(rank, len(m)) if m[r][c]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = pow(m[rank][c], -1, p)
+        m[rank] = [x * inv % p for x in m[rank]]
+        for r in range(len(m)):
+            if r != rank and m[r][c]:
+                f = m[r][c]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[rank])]
+        rank += 1
+    return rank
+
+
+def test_rank_over_prime_fields_matches_the_diagonal():
+    """Independent oracle: rank mod p counts diagonal entries prime to p."""
+    rng = Random(506)
+    for _ in range(10):
+        rows = rng.randint(20, 40)
+        cols = rng.randint(20, 40)
+        a = _sparse_matrix(rng, rows, cols, density=rng.choice((0.08, 0.2)))
+        a = _scramble(rng, a, 10)
+        s = smith_normal_form(a)
+        for p in (2, 3, 5, 7):
+            assert _rank_mod(a, p) == sum(1 for d in s.diagonal if d % p)
