@@ -9,7 +9,9 @@ alternating covector on the left.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from operator import mul
 from random import Random
 
 from . import matrices
@@ -99,7 +101,24 @@ class ModularMatrix:
     def __mul__(self, other: "ModularMatrix") -> "ModularMatrix":
         if self.m != other.m:
             raise ValueError(f"modulus mismatch: {self.m} vs {other.m}")
-        return ModularMatrix(self.m, matrices.mat_mul(self.entries, other.entries))
+        if self.n != other.n:
+            raise ValueError(f"shape mismatch: {self.n}x{self.n} times {other.n}x{other.n}")
+        m, cols = self.m, tuple(zip(*other.entries))
+        return ModularMatrix(
+            m, tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.entries)
+        )
+
+    def __pow__(self, k: int) -> "ModularMatrix":
+        if k < 0:
+            raise ValueError("negative matrix power not supported")
+        out, base = ModularMatrix.identity(self.n, self.m), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def is_identity(self) -> bool:
         return all(
@@ -119,22 +138,84 @@ def burau_matrix_mod(w: BraidWord, m: int) -> ModularMatrix:
     return ModularMatrix(m, tuple(tuple(row) for row in out))
 
 
-def order_mod(mat: ModularMatrix, cap: int | None = None) -> int | None:
-    """Least k with mat^k = identity, or None when k would exceed the cap.
+# the exact order search factors p^k - 1 (k <= n) by trial division, up to
+# about sqrt(p^n) steps for the largest prime p dividing m: 0.08 s at 10^12
+_FACTOR_LIMIT = 10**12
 
-    The default cap is 4 * m * n, comfortably above every order arising from
-    generator powers and full twists.
+
+def order_mod(mat: ModularMatrix, cap: int | None = None) -> int | None:
+    """Least k >= 1 with mat^k = identity, or None when none is found.
+
+    Short orders, up to n * m (those of generator powers and full twists),
+    are found by stepping.  Longer ones are exact too: the order divides a
+    known multiple of the exponent of GL_n(Z/m), whose prime factors are
+    stripped by powering by squaring.  A matrix that is not invertible mod m
+    has no such k.  Given a cap, an order above it is reported as None.
+
+    Factoring that multiple by trial division costs up to about p^(n/2)
+    steps for the largest prime p dividing m, so the exact search runs only
+    while p^n <= 10^12.  Beyond that, orders are found by stepping alone, up
+    to the cap or by default 4 * m * n, and None is reported above it.
     """
-    if cap is None:
-        cap = 4 * mat.m * mat.n
-    if cap < 1:
+    if cap is not None and cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
+    n, m = mat.n, mat.m
+    primes = _prime_factors(m)
+    exact = max(primes) ** n <= _FACTOR_LIMIT
+    if exact:
+        steps = n * m if cap is None else min(cap, n * m)
+    else:
+        steps = 4 * m * n if cap is None else cap
+    one = ModularMatrix.identity(n, m)
     acc = mat
-    for k in range(1, cap + 1):
-        if acc.is_identity():
+    for k in range(1, steps + 1):
+        if acc == one:
             return k
         acc = acc * mat
-    return None
+    if not exact or (cap is not None and cap <= steps):
+        return None
+    factors = _exponent_multiple(n, primes)
+    order = math.prod(q**f for q, f in factors.items())
+    if mat**order != one:
+        return None
+    for q, f in factors.items():
+        for _ in range(f):
+            if mat ** (order // q) != one:
+                break
+            order //= q
+    return None if cap is not None and order > cap else order
+
+
+def _prime_factors(x: int) -> dict[int, int]:
+    # trial division
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= x:
+        while x % d == 0:
+            out[d] = out.get(d, 0) + 1
+            x //= d
+        d += 1 if d == 2 else 2
+    if x > 1:
+        out[x] = out.get(x, 0) + 1
+    return out
+
+
+def _exponent_multiple(n: int, primes: dict[int, int]) -> dict[int, int]:
+    # factored multiple of the exponent of GL_n(Z/m), m = prod p^e over primes:
+    # for p^e exactly dividing m, the kernel of reduction mod p has exponent
+    # p^(e-1); mod p, the unipotent part of an element has order at most the
+    # least p^j >= n and the semisimple part an order dividing
+    # lcm(p^k - 1 : k <= n)
+    out: dict[int, int] = {}
+    for p, e in primes.items():
+        j = 0
+        while p**j < n:
+            j += 1
+        parts = [{p: e - 1 + j}] + [_prime_factors(p**k - 1) for k in range(1, n + 1)]
+        for part in parts:
+            for q, f in part.items():
+                out[q] = max(out.get(q, 0), f)
+    return {q: f for q, f in out.items() if f}
 
 
 def ones_vector(n: int) -> tuple[int, ...]:

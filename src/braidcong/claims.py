@@ -26,10 +26,12 @@ from .congruence import (
 )
 from .cryst import (
     CrystElement,
+    additivity_failures,
     in_power_image,
     normal_form,
     power_endomorphism,
     power_map_is_homomorphism,
+    power_map_scales_lattice,
     power_quotient_class,
 )
 from .matrices import is_identity
@@ -37,7 +39,6 @@ from .words import (
     BraidWord,
     LinkingVector,
     full_twist,
-    pair_list,
     permutation,
     pure_generator,
     random_pure_word,
@@ -357,14 +358,9 @@ def _claim_power_map_structure(config: SuiteConfig) -> ClaimResult:
         good = power_map_is_homomorphism(n, m)
         computed[f"homomorphism_{n}_{m}"] = good
         hom_ok = hom_ok and good
-    scaling_ok = True
-    for (n, m) in [(3, 3), (3, 5), (4, 3), (5, 3)]:
-        for pair in pair_list(n):
-            cls = normal_form(pure_generator(n, pair.i, pair.j))
-            image = power_endomorphism(n, m, cls)
-            want = CrystElement.lattice(LinkingVector.unit(n, pair.i, pair.j).scaled(m))
-            if image != want:
-                scaling_ok = False
+    scaling_ok = all(
+        power_map_scales_lattice(n, m) for (n, m) in [(3, 3), (3, 5), (4, 3), (5, 3)]
+    )
     computed["lattice_generators_scale_by_m"] = scaling_ok
     classes = set()
     for a in range(3):
@@ -373,27 +369,16 @@ def _claim_power_map_structure(config: SuiteConfig) -> ClaimResult:
                 vec = LinkingVector(3, (a, b, c))
                 classes.add(power_quotient_class(3, 3, CrystElement.lattice(vec)))
     computed["lattice_class_count_3_3"] = len(classes)
-    additive_failures = []
-    for _ in range(500):
-        x = _random_element(rng, 3)
-        y = _random_element(rng, 3)
-        lhs = power_quotient_class(3, 3, x * y)
-        rhs = tuple(
-            (s + t) % 3
-            for s, t in zip(power_quotient_class(3, 3, x), power_quotient_class(3, 3, y))
-        )
-        if lhs != rhs:
-            additive_failures.append(
-                {"x": list(x.vec.coords), "y": list(y.vec.coords), "lhs": list(lhs), "rhs": list(rhs)}
-            )
+    pairs = ((_random_element(rng, 3), _random_element(rng, 3)) for _ in range(500))
+    additive_failures = additivity_failures(3, 3, pairs)
     computed["additive_pairs_checked"] = 500
     computed["additive_failures"] = len(additive_failures)
     detail = ""
     if additive_failures:
-        first = additive_failures[0]
+        lhs, rhs = additive_failures[0]
         detail = (
             "reduction is not additive on the sampled pairs; first counterexample "
-            f"lhs={first['lhs']} rhs={first['rhs']}; the map obeys the twisted rule "
+            f"lhs={list(lhs)} rhs={list(rhs)}; the map obeys the twisted rule "
             "class(ab) = pair_action(perm(b)) . class(a) + class(b) instead"
         )
     expected = {

@@ -24,13 +24,14 @@ from .congruence import (
 )
 from .cryst import (
     CrystElement,
+    additivity_failures,
     element_order,
     normal_form,
     power_endomorphism,
     power_map_is_homomorphism,
-    power_quotient_class,
+    power_map_scales_lattice,
 )
-from .words import BraidWord, LinkingVector, pair_list, pure_generator, random_word
+from .words import BraidWord, LinkingVector, pair_list, random_word
 
 _TOKEN = re.compile(r"[^\s,]+")
 _INTEGER = re.compile(r"[+-]?\d+")
@@ -217,27 +218,17 @@ def _cmd_cryst_quotient_check(args: argparse.Namespace) -> int:
     rng = Random(args.seed)
     n, m = args.n, args.m
     relations_hold = power_map_is_homomorphism(n, m)
-    scaling = all(
-        power_endomorphism(n, m, normal_form(pure_generator(n, p.i, p.j)))
-        == CrystElement.lattice(LinkingVector.unit(n, p.i, p.j).scaled(m))
-        for p in pair_list(n)
+    scaling = power_map_scales_lattice(n, m)
+    pairs = (
+        (normal_form(random_word(rng, n, 12)), normal_form(random_word(rng, n, 12)))
+        for _ in range(args.samples)
     )
-    additive_failures = 0
+    failures = additivity_failures(n, m, pairs)
+    additive_failures = len(failures)
     first_failure = None
-    for _ in range(args.samples):
-        x = normal_form(random_word(rng, n, 12))
-        y = normal_form(random_word(rng, n, 12))
-        lhs = power_quotient_class(n, m, x * y)
-        rhs = tuple(
-            (s + t) % m
-            for s, t in zip(
-                power_quotient_class(n, m, x), power_quotient_class(n, m, y)
-            )
-        )
-        if lhs != rhs:
-            additive_failures += 1
-            if first_failure is None:
-                first_failure = {"lhs": list(lhs), "rhs": list(rhs)}
+    if failures:
+        lhs, rhs = failures[0]
+        first_failure = {"lhs": list(lhs), "rhs": list(rhs)}
     ok = relations_hold and scaling and additive_failures == 0
     payload = {
         "n": n,

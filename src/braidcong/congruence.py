@@ -10,6 +10,7 @@ the coset table, followed by an integer Smith normal form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress
 from random import Random
 
@@ -62,21 +63,59 @@ def _entry_width(m: int) -> int:
     return ((m - 1).bit_length() + 7) // 8
 
 
+def _encode_flat(flat: tuple[int, ...], width: int) -> bytes:
+    if width == 1:
+        return bytes(flat)
+    return b"".join(x.to_bytes(width, "little") for x in flat)
+
+
+def _flatten(mat: ModularMatrix) -> tuple[int, ...]:
+    return tuple(x for row in mat.entries for x in row)
+
+
 def encode_matrix(mat: ModularMatrix) -> bytes:
     """Canonical byte key: row-major residues, fixed-width little-endian."""
-    width = _entry_width(mat.m)
-    return b"".join(
-        x.to_bytes(width, "little") for row in mat.entries for x in row
+    return _encode_flat(_flatten(mat), _entry_width(mat.m))
+
+
+def _decode_flat(data: bytes, width: int) -> tuple[int, ...]:
+    if width == 1:
+        return tuple(data)
+    return tuple(
+        int.from_bytes(data[k : k + width], "little")
+        for k in range(0, len(data), width)
     )
 
 
 def decode_matrix(data: bytes, n: int, m: int) -> ModularMatrix:
-    width = _entry_width(m)
-    flat = [
-        int.from_bytes(data[k * width : (k + 1) * width], "little")
-        for k in range(n * n)
-    ]
-    return ModularMatrix(m, tuple(tuple(flat[r * n : (r + 1) * n]) for r in range(n)))
+    flat = _decode_flat(data, _entry_width(m))
+    return ModularMatrix(m, tuple(flat[r * n : (r + 1) * n] for r in range(n)))
+
+
+def _right_letter(state: tuple[int, ...], n: int, m: int, letter: int) -> tuple[int, ...]:
+    # state times a generator image, on row-major residues: as in
+    # burau._apply_letter, only columns i and i+1 change
+    i = abs(letter) - 1
+    a, b = state[i::n], state[i + 1 :: n]
+    out = list(state)
+    if letter > 0:
+        out[i::n] = [(2 * x + y) % m for x, y in zip(a, b)]
+        out[i + 1 :: n] = [-x % m for x in a]
+    else:
+        out[i::n] = [-y % m for y in b]
+        out[i + 1 :: n] = [(x + 2 * y) % m for x, y in zip(a, b)]
+    return tuple(out)
+
+
+def _left_letter(state: tuple[int, ...], n: int, m: int, letter: int) -> tuple[int, ...]:
+    # a generator image times state: only rows i and i+1 change
+    i = abs(letter) - 1
+    top, bottom = state[i * n : (i + 1) * n], state[(i + 1) * n : (i + 2) * n]
+    if letter > 0:
+        top, bottom = tuple((2 * x - y) % m for x, y in zip(top, bottom)), top
+    else:
+        top, bottom = bottom, tuple((2 * y - x) % m for x, y in zip(top, bottom))
+    return state[: i * n] + top + bottom + state[(i + 2) * n :]
 
 
 @dataclass(frozen=True)
@@ -86,6 +125,8 @@ class ImageGroup:
     Element 0 is the identity.  Discovery scans elements in numbering order
     and letters in letter_order; edges[k][t] is the element reached from
     element k by right multiplication with letter letter_order(n)[t].
+    parents[k] is the (element, letter) pair that first reached element k,
+    None for the identity; these pairs form the breadth-first tree.
     """
 
     n: int
@@ -94,6 +135,7 @@ class ImageGroup:
     elements: tuple[bytes, ...]
     edges: tuple[tuple[int, ...], ...]
     generator_images: tuple[ModularMatrix, ...] = field(compare=False)
+    parents: tuple[tuple[int, int] | None, ...] = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -102,66 +144,79 @@ class ImageGroup:
     def matrix(self, k: int) -> ModularMatrix:
         return decode_matrix(self.elements[k], self.n, self.m)
 
+    @cached_property
+    def _index(self) -> dict[bytes, int]:
+        # built on the first lookup; enumerate_image and image_center need none
+        return {e: k for k, e in enumerate(self.elements)}
+
     def index_of(self, mat: ModularMatrix) -> int:
-        key = encode_matrix(mat)
-        try:
-            return self.elements.index(key)
-        except ValueError:
-            raise KeyError("matrix is not in the enumerated image") from None
+        k = self._index.get(encode_matrix(mat)) if mat.m == self.m else None
+        if k is None:
+            raise KeyError("matrix is not in the enumerated image")
+        return k
 
 
 def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
-    """Breadth-first closure of the generator images and their inverses."""
+    """Breadth-first closure of the generator images and their inverses.
+
+    States are row-major residue tuples, used directly as dict keys; each
+    letter changes two columns.  Byte elements are encoded once at the end.
+    """
     if element_cap < 1:
         raise ValueError(f"element cap must be positive, got {element_cap}")
     letters = letter_order(n)
     gens = tuple(burau_matrix_mod(BraidWord(n, (l,)), m) for l in letters)
-    start = ModularMatrix.identity(n, m)
-    elements = [encode_matrix(start)]
-    mats = [start]
-    index = {elements[0]: 0}
-    edges: list[list[int]] = []
-    k = 0
-    while k < len(mats):
+    start = _flatten(ModularMatrix.identity(n, m))
+    states = [start]
+    index = {start: 0}
+    parents: list[tuple[int, int] | None] = [None]
+    edges: list[tuple[int, ...]] = []
+    # states grows while it is scanned: discovery order is the numbering
+    for k, current in enumerate(states):
         row = []
-        current = mats[k]
-        for g in gens:
-            product = current * g
-            key = encode_matrix(product)
-            target = index.get(key)
+        for letter in letters:
+            product = _right_letter(current, n, m, letter)
+            target = index.get(product)
             if target is None:
-                if len(mats) >= element_cap:
+                if len(states) >= element_cap:
                     raise LimitExceeded(
                         f"image of ({n}, {m}) exceeds the element cap "
-                        f"{element_cap}; partial size {len(mats)}",
-                        partial=len(mats),
+                        f"{element_cap}; partial size {len(states)}",
+                        partial=len(states),
                     )
-                target = len(mats)
-                index[key] = target
-                mats.append(product)
-                elements.append(key)
+                target = len(states)
+                index[product] = target
+                states.append(product)
+                parents.append((k, letter))
             row.append(target)
-        edges.append(row)
-        k += 1
+        edges.append(tuple(row))
+    width = _entry_width(m)
     return ImageGroup(
         n=n,
         m=m,
         letters=letters,
-        elements=tuple(elements),
-        edges=tuple(tuple(r) for r in edges),
+        elements=tuple(_encode_flat(s, width) for s in states),
+        edges=tuple(edges),
         generator_images=gens,
+        parents=tuple(parents),
     )
 
 
 def image_center(group: ImageGroup) -> tuple[int, ...]:
-    """Elements commuting with every generator image, as element numbers."""
-    positive = [
-        g for l, g in zip(group.letters, group.generator_images) if l > 0
-    ]
+    """Elements commuting with every generator image, as element numbers.
+
+    Each element is tested on its residue tuple: the right action of a
+    letter (two columns) against its left action (two rows).
+    """
+    n, m, width = group.n, group.m, _entry_width(group.m)
+    positive = [l for l in group.letters if l > 0]
     central = []
-    for k in range(group.size):
-        mat = group.matrix(k)
-        if all(mat * g == g * mat for g in positive):
+    for k, data in enumerate(group.elements):
+        state = _decode_flat(data, width)
+        if all(
+            _right_letter(state, n, m, l) == _left_letter(state, n, m, l)
+            for l in positive
+        ):
             central.append(k)
     return tuple(central)
 
@@ -207,21 +262,8 @@ class CosetTable:
 def coset_table(n: int, m: int, element_cap: int = 10**6) -> CosetTable:
     """Coset table of the level-m subgroup via the enumerated image."""
     group = enumerate_image(n, m, element_cap)
-    size = group.size
-    parents: list[tuple[int, int] | None] = [None] * size
-    seen = [False] * size
-    seen[0] = True
-    for k in range(size):
-        for pos, letter in enumerate(group.letters):
-            t = group.edges[k][pos]
-            if not seen[t]:
-                seen[t] = True
-                parents[t] = (k, letter)
-    words: list[tuple[int, ...]] = [()] * size
-    for k in range(1, size):
-        parent = parents[k]
-        if parent is None:
-            raise RuntimeError("enumeration produced an unreachable coset")
+    words: list[tuple[int, ...]] = [()] * group.size
+    for k, parent in enumerate(group.parents[1:], start=1):
         words[k] = words[parent[0]] + (parent[1],)
     return CosetTable(
         n=n,

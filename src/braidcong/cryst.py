@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
+from typing import Iterable
 
 from .matrices import IntMatrix, identity, mat_mul
 from .smith import solve_integer
@@ -38,6 +39,8 @@ __all__ = [
     "power_map_is_homomorphism",
     "in_power_image",
     "power_quotient_class",
+    "power_map_scales_lattice",
+    "additivity_failures",
     "holonomy_faithful",
     "pair_permutation_matrix",
 ]
@@ -260,6 +263,37 @@ def power_quotient_class(n: int, m: int, a: CrystElement) -> tuple[int, ...]:
     _require_odd(m)
     diff = a.vec - _power_offset(n, m, a.perm)
     return tuple(x % m for x in diff.coords)
+
+
+def power_map_scales_lattice(n: int, m: int) -> bool:
+    """Whether the m-th power endomorphism multiplies each pure generator by m."""
+    return all(
+        power_endomorphism(n, m, normal_form(pure_generator(n, p.i, p.j)))
+        == CrystElement.lattice(LinkingVector.unit(n, p.i, p.j).scaled(m))
+        for p in pair_list(n)
+    )
+
+
+def additivity_failures(
+    n: int, m: int, pairs: Iterable[tuple[CrystElement, CrystElement]]
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The pairs (x, y) on which plain additivity of the quotient class fails.
+
+    One (class(x * y), class(x) + class(y) mod m) per failing pair, in the
+    order the pairs come.  The statement is false off the lattice (see
+    power_quotient_class for the twisted rule that holds), so verify claim
+    c10 and the quotient-check command, which both report it, fail by design.
+    """
+    failures = []
+    for x, y in pairs:
+        lhs = power_quotient_class(n, m, x * y)
+        rhs = tuple(
+            (s + t) % m
+            for s, t in zip(power_quotient_class(n, m, x), power_quotient_class(n, m, y))
+        )
+        if lhs != rhs:
+            failures.append((lhs, rhs))
+    return failures
 
 
 def holonomy_faithful(n: int, samples: int = 200, seed: int = 0) -> bool:

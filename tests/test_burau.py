@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from braidcong import burau
 from braidcong.burau import (
     ModularMatrix,
     alternating_covector,
@@ -113,6 +114,74 @@ def test_order_mod_basics():
     assert order_mod(g) == 5
     # cap too small reports None
     assert order_mod(g, cap=3) is None
+
+
+def _stepped_order(g, cap):
+    # oracle: one multiplication at a time up to the cap
+    acc = g
+    for k in range(1, cap + 1):
+        if acc.is_identity():
+            return k
+        acc = acc * g
+    return None
+
+
+def test_order_mod_is_exact_above_the_old_cap():
+    rng = Random(130)
+    long_orders = 0
+    for _ in range(12):
+        g = burau_matrix_mod(random_word(rng, 9, 40), 7)
+        k = order_mod(g)
+        assert k == _stepped_order(g, 10**4)
+        long_orders += k > 4 * 7 * 9
+        assert order_mod(g, cap=k) == k
+        if k > 1:
+            assert order_mod(g, cap=k - 1) is None
+    assert long_orders > 0
+
+
+def test_order_mod_composite_moduli_and_singular_matrices():
+    rng = Random(131)
+    for n, m in ((3, 8), (4, 9), (4, 12), (3, 25), (5, 6)):
+        for _ in range(4):
+            g = burau_matrix_mod(random_word(rng, n, 30), m)
+            assert order_mod(g) == _stepped_order(g, 10**4)
+    # the companion matrix of x^3 - x - 1 mod p^e: its order has a p-part
+    # from the kernel of reduction mod p, beyond what stepping to 3m reaches
+    for m in (32, 27, 25):
+        g = ModularMatrix(m, ((0, 0, 1), (1, 0, 1), (0, 1, 0)))
+        assert order_mod(g) == _stepped_order(g, 10**4) > 3 * m
+    # no power of a matrix that is not invertible mod m is the identity
+    assert order_mod(ModularMatrix(4, ((2, 0), (0, 1)))) is None
+    assert order_mod(ModularMatrix(9, ((3, 1), (0, 1)))) is None
+    with pytest.raises(ValueError):
+        order_mod(ModularMatrix.identity(3, 5), cap=0)
+
+
+def test_order_mod_steps_only_beyond_the_factoring_limit(monkeypatch):
+    # 29^13 > 10^12: factoring 29^13 - 1 by trial division could take minutes,
+    # so the search steps to 4 * m * n, as the cap did before, and factors nothing
+    def refuse(n, primes):
+        raise AssertionError("exact order search beyond the factoring limit")
+
+    monkeypatch.setattr(burau, "_exponent_multiple", refuse)
+    n, m = 13, 29
+    assert order_mod(burau_matrix_mod(BraidWord(n, (1,)), m)) == m
+    assert order_mod(burau_matrix_mod(random_word(Random(133), n, 40), m)) is None
+
+
+def test_modular_power_matches_repeated_products():
+    g = burau_matrix_mod(random_word(Random(132), 4, 20), 5)
+    acc = ModularMatrix.identity(4, 5)
+    for k in range(12):
+        assert g**k == acc
+        acc = acc * g
+    with pytest.raises(ValueError):
+        g ** -1
+    with pytest.raises(ValueError):
+        g * ModularMatrix.identity(3, 5)
+    with pytest.raises(ValueError):
+        g * ModularMatrix.identity(4, 7)
 
 
 def test_generator_reduces_to_permutation_matrix_mod_two():

@@ -156,6 +156,25 @@ def test_cryst_quotient_check_command(capsys, tmp_path):
     assert data["status"] == "fail"
 
 
+def test_cryst_quotient_check_report_is_pinned(capsys, tmp_path):
+    """Frozen from the command's output before it shared the c10 loop."""
+    out = tmp_path / "qc.json"
+    argv = ["cryst", "quotient-check", "--n", "3", "--m", "3", "--samples", "40"]
+    assert main(argv + ["--seed", "7", "--json", str(out)]) == 1
+    capsys.readouterr()
+    assert json.loads(out.read_text()) == {
+        "additive_failures": 20,
+        "first_failure": {"lhs": [1, 1, 0], "rhs": [2, 1, 2]},
+        "lattice_scaling": True,
+        "m": 3,
+        "n": 3,
+        "relations_hold": True,
+        "samples": 40,
+        "seed": 7,
+        "status": "fail",
+    }
+
+
 def test_verify_filtering(capsys, tmp_path):
     out = tmp_path / "verify.json"
     assert main(["verify", "--claims", "c01,c05", "--json", str(out)]) == 0

@@ -19,7 +19,7 @@ from braidcong.congruence import (
     letter_order,
     subgroup_coordinates,
 )
-from braidcong.burau import burau_matrix_mod
+from braidcong.burau import ModularMatrix, burau_matrix_mod
 from braidcong.matrices import mat_mul
 from braidcong.words import (
     BraidWord,
@@ -133,6 +133,53 @@ def test_image_center_contains_full_twist_at_four_strands():
     assert len(center) == 3
     twist = burau_matrix_mod(full_twist(4), 3)
     assert any(g.matrix(k) == twist for k in center)
+
+
+@pytest.mark.parametrize("n, m", [(4, 3), (6, 2), (3, 5), (2, 257)])
+def test_image_search_agrees_with_modular_matrix_products(n, m):
+    """Oracle: the old path, ModularMatrix products and a second tree pass.
+
+    At m = 257 every residue takes two bytes.
+    """
+    g = enumerate_image(n, m)
+    table = coset_table(n, m)
+    mats = [g.matrix(k) for k in range(g.size)]
+    for k in range(g.size):
+        assert mats[k] == burau_matrix_mod(table.transversal(k + 1), m)
+        for pos, target in enumerate(g.edges[k]):
+            assert mats[target] == mats[k] * g.generator_images[pos]
+    positive = [x for l, x in zip(g.letters, g.generator_images) if l > 0]
+    brute = tuple(
+        k for k, a in enumerate(mats) if all(a * x == x * a for x in positive)
+    )
+    assert image_center(g) == brute
+    # the tree re-derived from the edges, first discovery in scan order
+    parents = [None] * g.size
+    seen = [True] + [False] * (g.size - 1)
+    for k in range(g.size):
+        for pos, letter in enumerate(g.letters):
+            t = g.edges[k][pos]
+            if not seen[t]:
+                seen[t] = True
+                parents[t] = (k, letter)
+    words = [()] * g.size
+    for k in range(1, g.size):
+        words[k] = words[parents[k][0]] + (parents[k][1],)
+    assert table.transversals == tuple(words)
+    assert g.parents == tuple(parents)
+    for k, a in enumerate(mats):
+        assert g.index_of(a) == k
+    zero = ModularMatrix(m, tuple((0,) * n for _ in range(n)))
+    for outside in (zero, ModularMatrix.identity(n, m + 1), ModularMatrix.identity(n + 1, m)):
+        with pytest.raises(KeyError):
+            g.index_of(outside)
+
+
+def test_five_strand_level_three_image_is_sp4_f3():
+    """|Sp4(F3)| = 3^4 (3^2 - 1)(3^4 - 1); its center is {1, -1}."""
+    g = enumerate_image(5, 3)
+    assert g.size == 3**4 * (3**2 - 1) * (3**4 - 1) == 51840
+    assert len(image_center(g)) == 2
 
 
 def test_coset_table_layout():
