@@ -3,8 +3,18 @@
 The quotient of the braid group by the commutator subgroup of the pure braid
 group has a complete normal form: a permutation together with an integer
 vector over strand pairs (the image of the pure part in the pair lattice).
-Elements multiply through representative words, so the group law never
-depends on unproved identities.
+normal_form reads that pair off any braid word.
+
+Elements multiply by the closed form of the group law,
+
+    vec(a * b) = vec(a).permuted(perm b) + vec(b) + c(perm a, perm b),
+
+where the cocycle c(s, t) is the vector of normal_form(section_word(s) *
+section_word(t)), a word of at most n(n-1) letters.  A product, an inverse
+or a power (by squaring) therefore costs O(n^2) arithmetic steps whatever the
+size of the coordinates.  The word path, normalizing the product of
+representative words, stays as the independent check: verify claim c12
+compares the closed form with it, and so do the tests.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable
 
-from .matrices import IntMatrix, identity, mat_mul
+from .matrices import IntMatrix
 from .smith import solve_integer
 from .words import (
     BraidWord,
@@ -92,17 +102,25 @@ class CrystElement:
     def __mul__(self, other: "CrystElement") -> "CrystElement":
         if self.n != other.n:
             raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
-        return normal_form(representative_word(self) * representative_word(other))
+        vec = self.vec.permuted(other.perm) + other.vec + _cocycle(self.perm, other.perm)
+        return CrystElement(self.n, self.perm * other.perm, vec)
 
     def inverse(self) -> "CrystElement":
-        return normal_form(representative_word(self).inverse())
+        inv = self.perm.inverse()
+        vec = -self.vec.permuted(inv) - _cocycle(self.perm, inv)
+        return CrystElement(self.n, inv, vec)
 
     def __pow__(self, k: int) -> "CrystElement":
         if k < 0:
             return self.inverse() ** (-k)
         out = CrystElement.identity(self.n)
-        for _ in range(k):
-            out = out * self
+        square = self
+        while k:
+            if k & 1:
+                out = out * square
+            k >>= 1
+            if k:
+                square = square * square
         return out
 
     def is_identity(self) -> bool:
@@ -117,6 +135,11 @@ def normal_form(w: BraidWord) -> CrystElement:
         raise RuntimeError("section lift has the wrong permutation; internal bug")
     vec = linking_vector(section.inverse() * w)
     return CrystElement(w.n, perm, vec)
+
+
+def _cocycle(s: Permutation, t: Permutation) -> LinkingVector:
+    """Vector part of the product of the section classes of s and t."""
+    return normal_form(section_word(s) * section_word(t)).vec
 
 
 def representative_word(a: CrystElement) -> BraidWord:
@@ -150,51 +173,72 @@ def pair_permutation_matrix(perm: Permutation) -> IntMatrix:
     return tuple(tuple(r) for r in rows)
 
 
+def _orbit_sum(perm: Permutation, k: int) -> IntMatrix:
+    """The sum of P^0 .. P^(k-1) for P = pair_permutation_matrix(perm).
+
+    Column c of P^j is the unit vector of the j-th image of pair c, so the
+    sum is read off by following each pair's orbit for k steps.
+    """
+    n = perm.n
+    count = pair_count(n)
+    rows = [[0] * count for _ in range(count)]
+    for col, pair in enumerate(pair_list(n)):
+        for _ in range(k):
+            rows[pair_position(n, pair)][col] += 1
+            pair = perm.pair_image(pair)
+    return tuple(map(tuple, rows))
+
+
 def torsion_search(n: int, k: int) -> CrystElement | None:
     """Search for an element of order exactly k; None records absence.
 
     Any finite-order element has the order of its permutation, so candidates
     are permutations of order k.  For each one, the vector part of the k-th
-    power is affine-linear in the lattice part, and torsion exists exactly
-    when the resulting integer linear system has a solution.
+    power of (perm, v) is vec((perm, 0)^k) + sum_{j<k} P^j v, and torsion
+    exists exactly when that integer linear system has a solution.
+    Conjugation keeps the order and moves the permutation through its
+    conjugacy class, so a cycle type refused once is not tried again;
+    permutations are tried in the order all_permutations gives them.
     """
     if k < 2:
         raise ValueError(f"order must be at least 2, got {k}")
-    count = pair_count(n)
+    refused: set[tuple[int, ...]] = set()
     for perm in all_permutations(n):
-        if perm.order() != k:
+        shape = perm.cycle_type()
+        if shape in refused or perm.order() != k:
             continue
-        base = normal_form(section_word(perm) ** k).vec
-        p = pair_permutation_matrix(perm)
-        acc = identity(count)
-        total = [list(row) for row in identity(count)]
-        for _ in range(k - 1):
-            acc = mat_mul(acc, p)
-            for r in range(count):
-                for c in range(count):
-                    total[r][c] += acc[r][c]
-        solution = solve_integer(tuple(map(tuple, total)), tuple(-x for x in base.coords))
-        if solution is not None:
-            found = CrystElement(n, perm, LinkingVector(n, solution))
-            if element_order(found) != k:
-                raise RuntimeError("torsion candidate failed certification; bug")
-            return found
+        base = (CrystElement(n, perm, LinkingVector.zero(n)) ** k).vec
+        solution = solve_integer(_orbit_sum(perm, k), tuple(-x for x in base.coords))
+        if solution is None:
+            refused.add(shape)
+            continue
+        found = CrystElement(n, perm, LinkingVector(n, solution))
+        if element_order(found) != k:
+            raise RuntimeError("torsion candidate failed certification; bug")
+        return found
     return None
 
 
 def power_endomorphism(n: int, m: int, a: CrystElement) -> CrystElement:
     """The endomorphism sending each generator class to its m-th power, m odd.
 
-    Evaluated by rewriting a representative word letter by letter and
-    normalizing, so the result is well-defined whenever the assignment
-    extends to the quotient; for odd m it does, and even m is rejected.
+    For odd m the assignment extends to the quotient, and even m is rejected.
+    The homomorphism is fixed by the images of the section class of the
+    permutation and of the pure generators, which it multiplies by m, so
+
+        power_endomorphism(a) = (perm a, offset(perm a) + m * vec a),
+
+    with the offset read from the letter-wise m-th power of the section word.
     """
     if a.n != n:
         raise ValueError(f"strand count mismatch: {a.n} vs {n}")
     _require_odd(m)
-    w = representative_word(a)
-    letters = tuple(l for letter in w.letters for l in (letter,) * m)
-    return normal_form(BraidWord(n, letters))
+    return CrystElement(n, a.perm, _power_offset(n, m, a.perm) + a.vec.scaled(m))
+
+
+def _letterwise_power(w: BraidWord, m: int) -> CrystElement:
+    """Normal form of w with every letter repeated m times (the power map on words)."""
+    return normal_form(BraidWord(w.n, tuple(l for letter in w.letters for l in (letter,) * m)))
 
 
 def _require_odd(m: int) -> None:
@@ -212,23 +256,17 @@ def power_map_is_homomorphism(n: int, m: int) -> bool:
     """
     if m < 1:
         raise ValueError(f"power must be positive, got {m}")
-    for i in range(1, n - 1):
-        lhs = BraidWord(n, (i,) * m + (i + 1,) * m + (i,) * m)
-        rhs = BraidWord(n, (i + 1,) * m + (i,) * m + (i + 1,) * m)
-        if normal_form(lhs) != normal_form(rhs):
-            return False
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            lhs = BraidWord(n, (i,) * m + (j,) * m)
-            rhs = BraidWord(n, (j,) * m + (i,) * m)
-            if normal_form(lhs) != normal_form(rhs):
-                return False
-    return True
+    relations = [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
+    relations += [((i, j), (j, i)) for i in range(1, n - 1) for j in range(i + 2, n)]
+    return all(
+        _letterwise_power(BraidWord(n, lhs), m) == _letterwise_power(BraidWord(n, rhs), m)
+        for lhs, rhs in relations
+    )
 
 
 def _power_offset(n: int, m: int, perm: Permutation) -> LinkingVector:
     # vector part of the power image of the section class of perm
-    return power_endomorphism(n, m, CrystElement(n, perm, LinkingVector.zero(n))).vec
+    return _letterwise_power(section_word(perm), m).vec
 
 
 def in_power_image(n: int, m: int, a: CrystElement) -> bool:
@@ -266,9 +304,13 @@ def power_quotient_class(n: int, m: int, a: CrystElement) -> tuple[int, ...]:
 
 
 def power_map_scales_lattice(n: int, m: int) -> bool:
-    """Whether the m-th power endomorphism multiplies each pure generator by m."""
+    """Whether the m-th power endomorphism multiplies each pure generator by m.
+
+    Checked on words (each letter of the pure generator word repeated m
+    times), not through power_endomorphism, which assumes this scaling.
+    """
     return all(
-        power_endomorphism(n, m, normal_form(pure_generator(n, p.i, p.j)))
+        _letterwise_power(pure_generator(n, p.i, p.j), m)
         == CrystElement.lattice(LinkingVector.unit(n, p.i, p.j).scaled(m))
         for p in pair_list(n)
     )

@@ -9,6 +9,7 @@ permutations compose left to right: (p * q)(x) = q(p(x)).
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from random import Random
 
@@ -95,13 +96,23 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images, start=1))
 
+    def cycle_type(self) -> tuple[int, ...]:
+        """Cycle lengths in decreasing order, fixed points counted as 1-cycles."""
+        seen = [False] * self.n
+        lengths = []
+        for start in range(self.n):
+            length = 0
+            x = start
+            while not seen[x]:
+                seen[x] = True
+                x = self.images[x] - 1
+                length += 1
+            if length:
+                lengths.append(length)
+        return tuple(sorted(lengths, reverse=True))
+
     def order(self) -> int:
-        k = 1
-        p = self
-        while not p.is_identity():
-            p = p * self
-            k += 1
-        return k
+        return math.lcm(*self.cycle_type())
 
     def pair_image(self, pair: "PairIndex") -> "PairIndex":
         return PairIndex(self(pair.i), self(pair.j))

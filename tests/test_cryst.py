@@ -306,3 +306,92 @@ def test_holonomy_representation_is_faithful():
         assert holonomy_faithful(n, samples=60, seed=811)
     # n = 2: a single pair, and the transposition acts trivially on it
     assert not holonomy_faithful(2)
+
+
+# The word path: normalize products, inverses and powers of representative
+# words.  It is independent of the closed-form group law and is its oracle.
+
+
+def _word_product(a: CrystElement, b: CrystElement) -> CrystElement:
+    return normal_form(representative_word(a) * representative_word(b))
+
+
+def _word_power(a: CrystElement, k: int) -> CrystElement:
+    return normal_form(representative_word(a) ** k)
+
+
+def _seeded_element(rng: Random, n: int, large: bool) -> CrystElement:
+    perm = permutation(random_word(rng, n, 3 * n))
+    coords = [rng.randint(-3, 3) for _ in range(n * (n - 1) // 2)]
+    if large:
+        coords[rng.randrange(len(coords))] = rng.choice((1, -1)) * rng.randint(900, 1100)
+    return CrystElement(n, perm, LinkingVector(n, tuple(coords)))
+
+
+def test_closed_form_law_matches_the_word_path():
+    """*, inverse and ** against normalized representative words, n = 3..7."""
+    rng = Random(815)
+    large_pairs = 0
+    for t in range(300):
+        n = rng.randint(3, 7)
+        large = t % 10 == 0
+        a = _seeded_element(rng, n, large)
+        b = _seeded_element(rng, n, False)
+        large_pairs += large
+        assert a * b == _word_product(a, b)
+        assert b * a == _word_product(b, a)
+        assert a.inverse() == normal_form(representative_word(a).inverse())
+        # the word of a**k grows with |k| times the coordinates
+        span = 1 if large else 3
+        for k in range(-span, span + 1):
+            assert a**k == _word_power(a, k)
+    assert large_pairs == 30
+
+
+def test_power_endomorphism_matches_letterwise_expansion():
+    rng = Random(816)
+    for _ in range(60):
+        n = rng.randint(3, 6)
+        m = rng.choice((1, 3, 5))
+        a = _seeded_element(rng, n, False)
+        letters = representative_word(a).letters
+        expanded = BraidWord(n, tuple(x for letter in letters for x in (letter,) * m))
+        assert power_endomorphism(n, m, a) == normal_form(expanded)
+
+
+# torsion_search(n, k) for n = 3..6 and k = 2..6, as the word-based law found them
+TORSION_TABLE = {
+    (3, 3): ((2, 3, 1), (-1, 0, 0)),
+    (4, 3): ((1, 3, 4, 2), (0, 0, 0, -1, 0, 0)),
+    (5, 3): ((1, 2, 4, 5, 3), (0, 0, 0, 0, 0, 0, 0, -1, 0, 0)),
+    (5, 5): ((2, 3, 4, 5, 1), (-1, -1, 0, 0, 0, 0, 0, 0, 0, 0)),
+    (6, 3): ((1, 2, 3, 5, 6, 4), (0,) * 12 + (-1, 0, 0)),
+    (6, 5): ((1, 3, 4, 5, 6, 2), (0,) * 5 + (-1, -1) + (0,) * 8),
+}
+
+
+def test_torsion_search_is_pinned():
+    for n in range(3, 7):
+        for k in range(2, 7):
+            found = torsion_search(n, k)
+            if (n, k) not in TORSION_TABLE:
+                assert found is None, (n, k)
+                continue
+            perm, vec = TORSION_TABLE[(n, k)]
+            assert found == CrystElement(n, Permutation(perm), LinkingVector(n, vec)), (n, k)
+
+
+def test_orders_of_conjugates_with_huge_coordinates():
+    """element_order of L * t * L^-1 is k whatever the size of L."""
+    rng = Random(817)
+    for (n, k), (perm, vec) in TORSION_TABLE.items():
+        t = CrystElement(n, Permutation(perm), LinkingVector(n, vec))
+        for scale in (10**5, 10**9):
+            coords = tuple(rng.randint(-scale, scale) for _ in vec)
+            lattice = CrystElement.lattice(LinkingVector(n, coords))
+            conjugate = lattice * t * lattice.inverse()
+            assert max(map(abs, conjugate.vec.coords)) > scale // 100
+            assert element_order(conjugate) == k
+            assert (conjugate**k).is_identity()
+            assert element_order(lattice) is None
+            assert element_order(t * lattice) is None

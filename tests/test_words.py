@@ -87,6 +87,32 @@ def test_permutation_inverse_and_order():
         assert q.is_identity()
 
 
+def test_cycle_type_and_order_match_stepping():
+    """Both against the step-by-step loops, on every permutation with n <= 6."""
+    for n in range(1, 7):
+        for p in all_permutations(n):
+            order, q = 1, p
+            while not q.is_identity():
+                q = q * p
+                order += 1
+            assert p.order() == order
+            orbit = []
+            for x in range(1, n + 1):
+                length, y = 1, p(x)
+                while y != x:
+                    y = p(y)
+                    length += 1
+                orbit.append(length)
+            # a cycle of length L contributes L points with orbit length L
+            want = tuple(
+                sorted((L for L in set(orbit) for _ in range(orbit.count(L) // L)), reverse=True)
+            )
+            assert p.cycle_type() == want
+            assert sum(p.cycle_type()) == n
+    assert Permutation((2, 3, 1, 5, 4, 6)).cycle_type() == (3, 2, 1)
+    assert Permutation((2, 3, 1, 5, 4, 6)).order() == 6
+
+
 def test_pair_index_normalizes():
     assert PairIndex(3, 1) == PairIndex(1, 3)
     assert PairIndex(3, 1).i == 1 and PairIndex(3, 1).j == 3
