@@ -90,10 +90,6 @@ class ModularMatrix:
     def identity(cls, n: int, m: int) -> "ModularMatrix":
         return cls(m, matrices.identity(n))
 
-    @classmethod
-    def reduce(cls, a: IntMatrix, m: int) -> "ModularMatrix":
-        return cls(m, a)
-
     @property
     def n(self) -> int:
         return len(self.entries)

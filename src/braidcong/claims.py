@@ -2,8 +2,11 @@
 
 Each claim is an executable check of one verified statement about the
 congruence and crystallographic structures, with fixed parameters and a
-deterministic derived seed.  A claim that cannot run under the configured
-caps is reported as skipped with a reason, never silently dropped.
+deterministic derived seed.  A claim function returns what it computed and
+what the statement predicts; run_suite names the result from CLAIMS and
+passes it exactly when computed == expected.  A claim that cannot run under
+the configured caps is reported as skipped with a reason, never silently
+dropped.
 """
 
 from __future__ import annotations
@@ -120,12 +123,7 @@ def _claim_rng(config: SuiteConfig, claim_id: str) -> Random:
     return Random(f"{config.seed}:{claim_id}")
 
 
-def _verdict(result: ClaimResult, ok: bool) -> ClaimResult:
-    result.status = "pass" if ok else "fail"
-    return result
-
-
-def _claim_generator_powers(config: SuiteConfig) -> ClaimResult:
+def _claim_generator_powers(config: SuiteConfig) -> dict:
     failures = []
     checked = 0
     for n in range(3, 9):
@@ -135,15 +133,12 @@ def _claim_generator_powers(config: SuiteConfig) -> ClaimResult:
                 w = BraidWord(n, (i,) * m)
                 if not burau_matrix_mod(w, m).is_identity():
                     failures.append([n, m, i])
-    r = ClaimResult(
-        claim_id="c01-generator-power-kernel",
+    return dict(
         description="m-th powers of the generators lie in the level-m subgroup",
         parameters={"n": "3..8", "m": "2..7"},
-        status="",
         computed={"checked": checked, "failures": failures},
         expected={"checked": checked, "failures": []},
     )
-    return _verdict(r, not failures)
 
 
 def _full_twist_order_table() -> dict[tuple[int, int], int]:
@@ -160,25 +155,22 @@ def _full_twist_order_table() -> dict[tuple[int, int], int]:
     return table
 
 
-def _claim_full_twist_orders(config: SuiteConfig) -> ClaimResult:
+def _claim_full_twist_orders(config: SuiteConfig) -> dict:
     expected = _full_twist_order_table()
     computed = {}
     for (n, m) in sorted(expected):
         computed[(n, m)] = order_mod(burau_matrix_mod(full_twist(n), m))
     mismatches = {k: (computed[k], expected[k]) for k in expected if computed[k] != expected[k]}
-    r = ClaimResult(
-        claim_id="c02-full-twist-order",
+    return dict(
         description="multiplicative order of the full twist image mod m",
         parameters={"n": "3..7", "m": "2..7 per parity table"},
-        status="",
         computed={f"{n},{m}": v for (n, m), v in sorted(computed.items())},
         expected={f"{n},{m}": v for (n, m), v in sorted(expected.items())},
         detail="" if not mismatches else f"mismatches: {sorted(mismatches)}",
     )
-    return _verdict(r, not mismatches)
 
 
-def _claim_level_two_purity(config: SuiteConfig) -> ClaimResult:
+def _claim_level_two_purity(config: SuiteConfig) -> dict:
     rng = _claim_rng(config, "c03")
     words = 0
     failures = []
@@ -188,19 +180,16 @@ def _claim_level_two_purity(config: SuiteConfig) -> ClaimResult:
             words += 1
             if is_member(w, 2) != permutation(w).is_identity():
                 failures.append([n, list(w.letters)])
-    r = ClaimResult(
-        claim_id="c03-level-two-is-pure",
+    return dict(
         description="level-2 membership coincides with having trivial permutation",
         parameters={"n": "3..6", "words_per_n": 500, "max_length": 40},
-        status="",
         computed={"checked": words, "failures": failures},
         expected={"checked": words, "failures": []},
         seed="c03",
     )
-    return _verdict(r, not failures)
 
 
-def _claim_pure_squares_level_four(config: SuiteConfig) -> ClaimResult:
+def _claim_pure_squares_level_four(config: SuiteConfig) -> dict:
     rng = _claim_rng(config, "c04")
     failures = []
     for n in (3, 4, 5):
@@ -208,37 +197,31 @@ def _claim_pure_squares_level_four(config: SuiteConfig) -> ClaimResult:
             w = random_pure_word(rng, n, factors=rng.randint(1, 4))
             if not is_member(w * w, 4):
                 failures.append([n, list(w.letters)])
-    r = ClaimResult(
-        claim_id="c04-pure-squares-level-four",
+    return dict(
         description="squares of pure words lie in the level-4 subgroup",
         parameters={"n": "3..5", "words_per_n": 200},
-        status="",
         computed={"failures": failures},
         expected={"failures": []},
         seed="c04",
     )
-    return _verdict(r, not failures)
 
 
-def _claim_torelli_chains(config: SuiteConfig) -> ClaimResult:
+def _claim_torelli_chains(config: SuiteConfig) -> dict:
     cases = [(3, 2), (4, 2), (5, 2), (5, 4), (6, 4), (7, 4)]
     bad = [
         [n, k]
         for (n, k) in cases
         if not is_identity(burau_matrix(torelli_chain(n, k)))
     ]
-    r = ClaimResult(
-        claim_id="c05-torelli-chain-kernel",
+    return dict(
         description="even chain twist powers act trivially over the integers",
         parameters={"cases": [f"{n},{k}" for n, k in cases]},
-        status="",
         computed={"nontrivial": bad},
         expected={"nontrivial": []},
     )
-    return _verdict(r, not bad)
 
 
-def _claim_image_orders(config: SuiteConfig) -> ClaimResult:
+def _claim_image_orders(config: SuiteConfig) -> dict:
     def sl2_order(p: int) -> int:
         return p * (p - 1) * (p + 1)
 
@@ -253,44 +236,35 @@ def _claim_image_orders(config: SuiteConfig) -> ClaimResult:
     for key in sorted(expected):
         n, m = (int(t) for t in key.split(","))
         computed[key] = enumerate_image(n, m, config.element_cap).size
-    r = ClaimResult(
-        claim_id="c06-image-orders",
+    return dict(
         description="orders of the finite mod-m images",
         parameters={"cases": sorted(expected)},
-        status="",
         computed=computed,
         expected=expected,
     )
-    return _verdict(r, computed == expected)
 
 
-def _claim_abelianization_ranks(config: SuiteConfig) -> ClaimResult:
+def _claim_abelianization_ranks(config: SuiteConfig) -> dict:
     expected = {"3,2": [3, []], "3,3": [4, []], "3,4": [6, []]}
     computed = {}
     for key in sorted(expected):
         n, m = (int(t) for t in key.split(","))
         ab = abelianization(n, m, coset_cap=config.coset_cap, element_cap=config.element_cap)
         computed[key] = [ab.free_rank, list(ab.invariant_factors)]
-    r = ClaimResult(
-        claim_id="c07-abelianization-ranks",
+    return dict(
         description="free ranks and torsion of the level-m subgroup abelianizations",
         parameters={"cases": sorted(expected)},
-        status="",
         computed=computed,
         expected=expected,
     )
-    return _verdict(r, computed == expected)
 
 
-def _claim_conjugation_action(config: SuiteConfig) -> ClaimResult:
+def _claim_conjugation_action(config: SuiteConfig) -> dict:
     twist = full_twist(3)
     results = {}
-    ok = True
     for m in (3, 4):
         ab = abelianization(3, m, coset_cap=config.coset_cap, element_cap=config.element_cap)
-        act = conjugation_action(ab, twist)
-        results[f"full_twist_mod_{m}_is_identity"] = act.is_identity()
-        ok = ok and act.is_identity()
+        results[f"full_twist_mod_{m}_is_identity"] = conjugation_action(ab, twist).is_identity()
     ab2 = abelianization(3, 2, coset_cap=config.coset_cap, element_cap=config.element_cap)
     nontrivial = []
     for coset in range(2, ab2.table.size + 1):
@@ -299,12 +273,9 @@ def _claim_conjugation_action(config: SuiteConfig) -> ClaimResult:
         nontrivial.append(not act.is_identity())
     results["level2_nonsubgroup_reps_act_nontrivially"] = all(nontrivial)
     results["level2_cosets_checked"] = ab2.table.size
-    ok = ok and all(nontrivial) and ab2.table.size == 6
-    r = ClaimResult(
-        claim_id="c08-conjugation-action",
+    return dict(
         description="conjugation acts trivially for the central twist and faithfully at level 2",
         parameters={"levels": [2, 3, 4]},
-        status="",
         computed=results,
         expected={
             "full_twist_mod_3_is_identity": True,
@@ -313,10 +284,9 @@ def _claim_conjugation_action(config: SuiteConfig) -> ClaimResult:
             "level2_cosets_checked": 6,
         },
     )
-    return _verdict(r, ok)
 
 
-def _claim_center_holonomy(config: SuiteConfig) -> ClaimResult:
+def _claim_center_holonomy(config: SuiteConfig) -> dict:
     group = enumerate_image(3, 3, config.element_cap)
     center = image_center(group)
     twist_mat = burau_matrix_mod(full_twist(3), 3)
@@ -335,33 +305,27 @@ def _claim_center_holonomy(config: SuiteConfig) -> ClaimResult:
         "full_twist_is_the_nontrivial_central_element": True,
         "holonomy_order": 12,
     }
-    r = ClaimResult(
-        claim_id="c09-center-holonomy",
+    return dict(
         description="center of the level-3 image and the holonomy quotient order",
         parameters={"n": 3, "m": 3},
-        status="",
         computed=computed,
         expected=expected,
     )
-    return _verdict(r, computed == expected)
 
 
 def _random_element(rng: Random, n: int, max_length: int = 12) -> CrystElement:
     return normal_form(random_word(rng, n, max_length))
 
 
-def _claim_power_map_structure(config: SuiteConfig) -> ClaimResult:
+def _claim_power_map_structure(config: SuiteConfig) -> dict:
     rng = _claim_rng(config, "c10")
-    computed: dict[str, object] = {}
-    hom_ok = True
-    for (n, m) in [(3, 3), (3, 5), (4, 3), (5, 3)]:
-        good = power_map_is_homomorphism(n, m)
-        computed[f"homomorphism_{n}_{m}"] = good
-        hom_ok = hom_ok and good
-    scaling_ok = all(
-        power_map_scales_lattice(n, m) for (n, m) in [(3, 3), (3, 5), (4, 3), (5, 3)]
+    cases = [(3, 3), (3, 5), (4, 3), (5, 3)]
+    computed: dict[str, object] = {
+        f"homomorphism_{n}_{m}": power_map_is_homomorphism(n, m) for (n, m) in cases
+    }
+    computed["lattice_generators_scale_by_m"] = all(
+        power_map_scales_lattice(n, m) for (n, m) in cases
     )
-    computed["lattice_generators_scale_by_m"] = scaling_ok
     classes = set()
     for a in range(3):
         for b in range(3):
@@ -391,26 +355,17 @@ def _claim_power_map_structure(config: SuiteConfig) -> ClaimResult:
         "additive_pairs_checked": 500,
         "additive_failures": 0,
     }
-    ok = (
-        hom_ok
-        and scaling_ok
-        and len(classes) == 27
-        and not additive_failures
-    )
-    r = ClaimResult(
-        claim_id="c10-power-map-structure",
+    return dict(
         description="power endomorphism relations, lattice scaling, and quotient classes",
-        parameters={"cases": ["3,3", "3,5", "4,3", "5,3"], "additive_pairs": 500},
-        status="",
+        parameters={"cases": [f"{n},{m}" for n, m in cases], "additive_pairs": 500},
         computed=computed,
         expected=expected,
         detail=detail,
         seed="c10",
     )
-    return _verdict(r, ok)
 
 
-def _claim_cohopf_witness(config: SuiteConfig) -> ClaimResult:
+def _claim_cohopf_witness(config: SuiteConfig) -> dict:
     rng = _claim_rng(config, "c11")
     sigma_class = normal_form(BraidWord(3, (1,)))
     witness = not in_power_image(3, 3, sigma_class)
@@ -423,19 +378,16 @@ def _claim_cohopf_witness(config: SuiteConfig) -> ClaimResult:
             break
     computed = {"generator_class_outside_image": witness, "injective_on_pairs": injective}
     expected = {"generator_class_outside_image": True, "injective_on_pairs": True}
-    r = ClaimResult(
-        claim_id="c11-cohopf-witness",
+    return dict(
         description="the power map is injective but misses the generator class",
         parameters={"n": 3, "m": 3, "pairs": 1000},
-        status="",
         computed=computed,
         expected=expected,
         seed="c11",
     )
-    return _verdict(r, computed == expected)
 
 
-def _claim_normal_form_soundness(config: SuiteConfig) -> ClaimResult:
+def _claim_normal_form_soundness(config: SuiteConfig) -> dict:
     rng = _claim_rng(config, "c12")
     mult_failures = 0
     for _ in range(1000):
@@ -472,19 +424,16 @@ def _claim_normal_form_soundness(config: SuiteConfig) -> ClaimResult:
         "pure_commutator_failures": 0,
         "conjugation_rule_failures": 0,
     }
-    r = ClaimResult(
-        claim_id="c12-normal-form-soundness",
+    return dict(
         description="normal form is multiplicative, kills pure commutators, and matches the pair action",
         parameters={"pairs": 1000, "commutators": 200, "conjugations": 500},
-        status="",
         computed=computed,
         expected=expected,
         seed="c12",
     )
-    return _verdict(r, computed == expected)
 
 
-def _claim_transvection_agreement(config: SuiteConfig) -> ClaimResult:
+def _claim_transvection_agreement(config: SuiteConfig) -> dict:
     rng = _claim_rng(config, "c13")
     computed = {}
     for (n, m) in [(3, 2), (3, 3), (5, 2), (5, 3)]:
@@ -492,19 +441,16 @@ def _claim_transvection_agreement(config: SuiteConfig) -> ClaimResult:
             n, m, samples=200, seed=rng.randrange(2**32)
         )
     expected = {key: True for key in computed}
-    r = ClaimResult(
-        claim_id="c13-transvection-agreement",
+    return dict(
         description="chain transvection model matches the mod-m kernel on samples",
         parameters={"cases": sorted(computed), "samples": 200},
-        status="",
         computed=computed,
         expected=expected,
         seed="c13",
     )
-    return _verdict(r, computed == expected)
 
 
-CLAIMS: tuple[tuple[str, Callable[[SuiteConfig], ClaimResult]], ...] = (
+CLAIMS: tuple[tuple[str, Callable[[SuiteConfig], dict]], ...] = (
     ("c01-generator-power-kernel", _claim_generator_powers),
     ("c02-full-twist-order", _claim_full_twist_orders),
     ("c03-level-two-is-pure", _claim_level_two_purity),
@@ -531,7 +477,7 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
             continue
         t0 = time.perf_counter()
         try:
-            result = runner(config)
+            fields = runner(config)
         except LimitExceeded as exc:
             result = ClaimResult(
                 claim_id=claim_id,
@@ -542,6 +488,9 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
                 expected=None,
                 detail=f"cap exceeded: {exc}",
             )
+        else:
+            status = "pass" if fields["computed"] == fields["expected"] else "fail"
+            result = ClaimResult(claim_id=claim_id, status=status, **fields)
         result.runtime_ms = (time.perf_counter() - t0) * 1000.0
         if result.seed:
             result.seed = f"{config.seed}:{result.seed}"

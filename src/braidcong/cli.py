@@ -11,6 +11,7 @@ import json
 import re
 import sys
 import time
+from collections import Counter
 
 from . import __version__
 from .burau import burau_matrix, burau_matrix_mod
@@ -256,6 +257,11 @@ def _cmd_cryst_quotient_check(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _claim_list(text: str) -> tuple[str, ...]:
+    """Claim ids or prefixes separated by commas or whitespace."""
+    return tuple(t for t in re.split(r"[\s,]+", text) if t)
+
+
 def _parse_config_file(path: str) -> dict:
     allowed = {"seed", "claims", "element_cap", "coset_cap"}
     values: dict = {}
@@ -274,7 +280,7 @@ def _parse_config_file(path: str) -> dict:
                     f" (allowed: {', '.join(sorted(allowed))})"
                 )
             if key == "claims":
-                values[key] = tuple(t for t in re.split(r"[\s,]+", value) if t)
+                values[key] = _claim_list(value)
             else:
                 try:
                     values[key] = int(value)
@@ -291,13 +297,9 @@ def _print_report(report: VerificationReport) -> None:
     width = max(len(r.claim_id) for r in report.results) if report.results else 10
     for r in report.results:
         print(f"{r.claim_id.ljust(width)}  {r.status:<7}  {r.runtime_ms:9.1f} ms")
-        if r.status == "fail" and r.detail:
+        if r.status != "pass" and r.detail:
             print(f"{''.ljust(width)}  {r.detail}")
-        elif r.status == "skipped" and r.detail:
-            print(f"{''.ljust(width)}  {r.detail}")
-    counts = {"pass": 0, "fail": 0, "skipped": 0}
-    for r in report.results:
-        counts[r.status] = counts.get(r.status, 0) + 1
+    counts = Counter(r.status for r in report.results)
     print(
         f"total: {counts['pass']} pass, {counts['fail']} fail,"
         f" {counts['skipped']} skipped ({report.total_ms:.0f} ms)"
@@ -305,22 +307,14 @@ def _print_report(report: VerificationReport) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    values: dict = {}
-    if args.config:
-        values = _parse_config_file(args.config)
+    values = _parse_config_file(args.config) if args.config else {}
     if args.seed is not None:
         values["seed"] = args.seed
     if args.claims:
-        values["claims"] = tuple(t for t in re.split(r"[\s,]+", args.claims) if t)
+        values["claims"] = _claim_list(args.claims)
     if args.cap is not None:
         values["element_cap"] = args.cap
-    config = SuiteConfig(
-        seed=values.get("seed", 2026),
-        claims=values.get("claims"),
-        element_cap=values.get("element_cap", 10**6),
-        coset_cap=values.get("coset_cap", 10_000),
-    )
-    report = run_suite(config)
+    report = run_suite(SuiteConfig(**values))
     _print_report(report)
     if args.json:
         _write_json(args.json, report.to_json_dict())

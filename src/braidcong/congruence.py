@@ -19,7 +19,7 @@ from . import matrices
 from .matrices import IntMatrix, mat_mul  # noqa: F401
 from .burau import ModularMatrix, burau_matrix_mod
 from .smith import smith_normal_form
-from .words import BraidWord, random_word
+from .words import BraidWord, check_strand_count, random_word
 
 __all__ = [
     "LimitExceeded",
@@ -162,6 +162,7 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     States are row-major residue tuples, used directly as dict keys; each
     letter changes two columns.  Byte elements are encoded once at the end.
     """
+    check_strand_count(n)
     if element_cap < 1:
         raise ValueError(f"element cap must be positive, got {element_cap}")
     letters = letter_order(n)
@@ -334,15 +335,8 @@ class AbelianizationResult:
     rank: int
     invariant_factors: tuple[int, ...]
     free_rank: int
-    left: IntMatrix = field(repr=False)
     right: IntMatrix = field(repr=False)
     right_inverse: IntMatrix = field(repr=False)
-
-    def coordinate_index(self, coset: int, i: int) -> int:
-        """Column of the Schreier generator of a 1-based coset and braid index."""
-        if not (1 <= i < self.n):
-            raise ValueError(f"generator index {i} out of range for {self.n} strands")
-        return (coset - 1) * (self.n - 1) + (i - 1)
 
     def free_coordinates(self, x: tuple[int, ...]) -> tuple[int, ...]:
         """Project an exponent vector to the free part of the abelianization."""
@@ -405,7 +399,6 @@ def abelianization(
         rank=form.rank,
         invariant_factors=form.invariant_factors,
         free_rank=degree - form.rank,
-        left=form.left,
         right=form.right,
         right_inverse=form.right_inverse,
     )

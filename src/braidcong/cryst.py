@@ -30,10 +30,11 @@ from .words import (
     LinkingVector,
     Permutation,
     all_permutations,
+    check_strand_count,
     linking_vector,
+    pair_action,
     pair_count,
     pair_list,
-    pair_position,
     permutation,
     pure_generator,
 )
@@ -165,11 +166,10 @@ def element_order(a: CrystElement) -> int | None:
 
 def pair_permutation_matrix(perm: Permutation) -> IntMatrix:
     """Column-convention matrix of the pair action on the lattice."""
-    n = perm.n
-    count = pair_count(n)
-    rows = [[0] * count for _ in range(count)]
-    for pos, pair in enumerate(pair_list(n)):
-        rows[pair_position(n, perm.pair_image(pair))][pos] = 1
+    action = pair_action(perm)
+    rows = [[0] * len(action) for _ in action]
+    for pos, target in enumerate(action):
+        rows[target][pos] = 1
     return tuple(tuple(r) for r in rows)
 
 
@@ -179,13 +179,13 @@ def _orbit_sum(perm: Permutation, k: int) -> IntMatrix:
     Column c of P^j is the unit vector of the j-th image of pair c, so the
     sum is read off by following each pair's orbit for k steps.
     """
-    n = perm.n
-    count = pair_count(n)
-    rows = [[0] * count for _ in range(count)]
-    for col, pair in enumerate(pair_list(n)):
+    action = pair_action(perm)
+    rows = [[0] * len(action) for _ in action]
+    for col in range(len(action)):
+        pos = col
         for _ in range(k):
-            rows[pair_position(n, pair)][col] += 1
-            pair = perm.pair_image(pair)
+            rows[pos][col] += 1
+            pos = action[pos]
     return tuple(map(tuple, rows))
 
 
@@ -272,12 +272,11 @@ def _power_offset(n: int, m: int, perm: Permutation) -> LinkingVector:
 def in_power_image(n: int, m: int, a: CrystElement) -> bool:
     """Membership in the image of the m-th power endomorphism, m odd.
 
-    An element lies in the image exactly when its vector, shifted by the
-    image of its permutation's section class, is divisible by m.
+    An element lies in the image exactly when its power_quotient_class is
+    zero: its vector, shifted by the image of its permutation's section
+    class, is divisible by m.
     """
-    _require_odd(m)
-    diff = a.vec - _power_offset(n, m, a.perm)
-    return all(x % m == 0 for x in diff.coords)
+    return not any(power_quotient_class(n, m, a))
 
 
 def power_quotient_class(n: int, m: int, a: CrystElement) -> tuple[int, ...]:
@@ -344,12 +343,11 @@ def holonomy_faithful(n: int, samples: int = 200, seed: int = 0) -> bool:
     Exhaustive for n up to 6; for larger n, checks adjacent transpositions
     and random samples.
     """
-    if n < 2:
-        raise ValueError(f"strand count must be at least 2, got {n}")
-    pairs = pair_list(n)
+    check_strand_count(n)
+    fixed = tuple(range(pair_count(n)))
 
     def moves_some_pair(perm: Permutation) -> bool:
-        return any(perm.pair_image(p) != p for p in pairs)
+        return pair_action(perm) != fixed
 
     if n <= 6:
         return all(

@@ -14,6 +14,11 @@ from dataclasses import dataclass
 from random import Random
 
 
+def check_strand_count(n: int) -> None:
+    if n < 2:
+        raise ValueError(f"strand count must be at least 2, got {n}")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators of the braid group on n strands."""
@@ -22,8 +27,7 @@ class BraidWord:
     letters: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"strand count must be at least 2, got {self.n}")
+        check_strand_count(self.n)
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         for k in self.letters:
@@ -114,9 +118,6 @@ class Permutation:
     def order(self) -> int:
         return math.lcm(*self.cycle_type())
 
-    def pair_image(self, pair: "PairIndex") -> "PairIndex":
-        return PairIndex(self(pair.i), self(pair.j))
-
 
 @dataclass(frozen=True, order=True)
 class PairIndex:
@@ -145,13 +146,26 @@ def pair_list(n: int) -> tuple[PairIndex, ...]:
     return tuple(PairIndex(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
-def pair_position(n: int, pair: PairIndex) -> int:
-    """0-based coordinate of a pair in the lexicographic order on pairs."""
-    i, j = pair.i, pair.j
-    if j > n:
-        raise ValueError(f"pair {pair} is out of range for {n} strands")
+def _position(n: int, a: int, b: int) -> int:
+    # coordinate of the pair of distinct labels a, b in 1..n, in either order
+    i, j = (a, b) if a < b else (b, a)
     # pairs (1,*), (2,*), ... precede those starting at i
     return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
+
+
+def pair_position(n: int, pair: PairIndex) -> int:
+    """0-based coordinate of a pair in the lexicographic order on pairs."""
+    if pair.j > n:
+        raise ValueError(f"pair {pair} is out of range for {n} strands")
+    return _position(n, pair.i, pair.j)
+
+
+def pair_action(perm: Permutation) -> tuple[int, ...]:
+    """For each pair coordinate, the coordinate of its image pair under perm."""
+    n, images = perm.n, perm.images
+    return tuple(
+        _position(n, images[i], images[j]) for i in range(n) for j in range(i + 1, n)
+    )
 
 
 @dataclass(frozen=True)
@@ -207,9 +221,11 @@ class LinkingVector:
 
     def permuted(self, perm: Permutation) -> "LinkingVector":
         """Move each coordinate from pair p to the pair image under perm."""
+        if perm.n != self.n:
+            raise ValueError(f"strand count mismatch: {self.n} vs {perm.n}")
         out = [0] * len(self.coords)
-        for pos, pair in enumerate(pair_list(self.n)):
-            out[pair_position(self.n, perm.pair_image(pair))] = self.coords[pos]
+        for x, target in zip(self.coords, pair_action(perm)):
+            out[target] = x
         return LinkingVector(self.n, tuple(out))
 
 
@@ -265,7 +281,7 @@ def linking_vector(w: BraidWord) -> LinkingVector:
     for k in w.letters:
         i = abs(k)
         a, b = seats[i - 1], seats[i]
-        counters[pair_position(n, PairIndex(a, b))] += 1 if k > 0 else -1
+        counters[_position(n, a, b)] += 1 if k > 0 else -1
         seats[i - 1], seats[i] = seats[i], seats[i - 1]
     if seats != list(range(1, n + 1)):
         raise ValueError("linking_vector needs a pure word (trivial permutation)")

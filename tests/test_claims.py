@@ -1,0 +1,19 @@
+"""The verification suite: run_suite names each claim and gives its verdict."""
+
+from braidcong.claims import CLAIMS, SuiteConfig, run_suite
+
+
+def test_seed_2026_suite_fails_only_the_plain_additivity_claim():
+    report = run_suite(SuiteConfig(seed=2026))
+    assert [r.claim_id for r in report.results] == [claim_id for claim_id, _ in CLAIMS]
+    for r in report.results:
+        if r.claim_id == "c10-power-map-structure":
+            assert r.status == "fail"
+            assert r.computed != r.expected
+            assert r.computed["additive_failures"] > 0
+            assert "twisted rule" in r.detail
+        else:
+            assert r.status == "pass", r.claim_id
+            assert r.computed == r.expected
+    assert not report.passed
+

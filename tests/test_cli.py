@@ -210,6 +210,31 @@ def test_verify_config_file(capsys, tmp_path):
     assert "c02-full-twist-order" in capsys.readouterr().out
 
 
+def test_verify_flags_override_the_config_file(capsys, tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("seed = 5\nelement_cap = 1000000\nclaims = c03 c06\n")
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg), "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["meta"]["seed"] == 5
+    assert [c["status"] for c in data["claims"]] == ["pass", "pass"]
+    assert data["claims"][0]["seed"] == "5:c03"
+    argv = ["verify", "--config", str(cfg), "--seed", "7", "--cap", "10", "--json", str(out)]
+    assert main(argv) == 0
+    data = json.loads(out.read_text())
+    assert data["meta"]["seed"] == 7
+    assert [c["status"] for c in data["claims"]] == ["pass", "skipped"]
+    assert data["claims"][0]["seed"] == "7:c03"
+    capsys.readouterr()
+
+
+def test_strand_counts_below_two_exit_two(capsys):
+    assert main(["image", "--n", "-3", "--m", "3", "--center"]) == 2
+    assert main(["abelianization", "--n", "0", "--m", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("strand count must be at least 2") == 2
+
+
 def test_verify_config_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 1\n")

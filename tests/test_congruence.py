@@ -98,6 +98,13 @@ def test_image_orders():
     assert enumerate_image(3, 5).size == 120
 
 
+def test_strand_counts_below_two_are_rejected():
+    for n in (1, 0, -3):
+        for build in (enumerate_image, coset_table, abelianization):
+            with pytest.raises(ValueError, match="strand count must be at least 2"):
+                build(n, 3)
+
+
 def test_enumeration_respects_cap():
     with pytest.raises(LimitExceeded) as err:
         enumerate_image(3, 3, element_cap=10)

@@ -22,6 +22,7 @@ from braidcong.matrices import mat_mul, mat_vec
 from braidcong.words import (
     BraidWord,
     LinkingVector,
+    PairIndex,
     Permutation,
     all_permutations,
     full_twist,
@@ -298,7 +299,7 @@ def test_pair_permutation_matrix_conventions():
         src = [0, 0, 0]
         src[pair_position(3, p)] = 1
         out = mat_vec(mat, tuple(src))
-        assert out[pair_position(3, perm.pair_image(p))] == 1
+        assert out[pair_position(3, PairIndex(perm(p.i), perm(p.j)))] == 1
 
 
 def test_holonomy_representation_is_faithful():

@@ -15,6 +15,7 @@ from braidcong.words import (
     formal_class_word,
     full_twist,
     linking_vector,
+    pair_action,
     pair_count,
     pair_list,
     pair_position,
@@ -131,6 +132,21 @@ def test_pair_positions_cover_lexicographic_order():
         assert [pair_position(n, p) for p in pairs] == list(range(pair_count(n)))
     with pytest.raises(ValueError):
         pair_position(3, PairIndex(1, 4))
+
+
+def test_pair_action_matches_the_pair_index_oracle():
+    for n in range(2, 7):
+        pairs = pair_list(n)
+        coords = tuple(range(1, len(pairs) + 1))
+        for perm in all_permutations(n):
+            oracle = tuple(
+                pair_position(n, PairIndex(perm(p.i), perm(p.j))) for p in pairs
+            )
+            assert pair_action(perm) == oracle
+            moved = LinkingVector(n, coords).permuted(perm)
+            assert all(moved.coords[t] == x for x, t in zip(coords, oracle))
+    with pytest.raises(ValueError):
+        LinkingVector.zero(3).permuted(Permutation.identity(4))
 
 
 def test_pure_generator_words():
