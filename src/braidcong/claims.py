@@ -2,7 +2,10 @@
 
 Each claim is an executable check of one verified statement about the
 congruence and crystallographic structures, with fixed parameters and a
-deterministic derived seed.  A claim function returns what it computed and
+deterministic derived seed.  A claim function takes the suite config and a
+generator that run_suite seeds from the suite seed and the claim's tag (the
+id up to its first hyphen); the report gives that seed exactly when the claim
+drew from the generator.  A claim function returns what it computed and
 what the statement predicts; run_suite names the result from CLAIMS and
 passes it exactly when computed == expected.  A claim that cannot run under
 the configured caps is reported as skipped with a reason, never silently
@@ -119,11 +122,7 @@ class VerificationReport:
         }
 
 
-def _claim_rng(config: SuiteConfig, claim_id: str) -> Random:
-    return Random(f"{config.seed}:{claim_id}")
-
-
-def _claim_generator_powers(config: SuiteConfig) -> dict:
+def _claim_generator_powers(config: SuiteConfig, rng: Random) -> dict:
     failures = []
     checked = 0
     for n in range(3, 9):
@@ -155,7 +154,7 @@ def _full_twist_order_table() -> dict[tuple[int, int], int]:
     return table
 
 
-def _claim_full_twist_orders(config: SuiteConfig) -> dict:
+def _claim_full_twist_orders(config: SuiteConfig, rng: Random) -> dict:
     expected = _full_twist_order_table()
     computed = {}
     for (n, m) in sorted(expected):
@@ -170,8 +169,7 @@ def _claim_full_twist_orders(config: SuiteConfig) -> dict:
     )
 
 
-def _claim_level_two_purity(config: SuiteConfig) -> dict:
-    rng = _claim_rng(config, "c03")
+def _claim_level_two_purity(config: SuiteConfig, rng: Random) -> dict:
     words = 0
     failures = []
     for n in range(3, 7):
@@ -185,12 +183,10 @@ def _claim_level_two_purity(config: SuiteConfig) -> dict:
         parameters={"n": "3..6", "words_per_n": 500, "max_length": 40},
         computed={"checked": words, "failures": failures},
         expected={"checked": words, "failures": []},
-        seed="c03",
     )
 
 
-def _claim_pure_squares_level_four(config: SuiteConfig) -> dict:
-    rng = _claim_rng(config, "c04")
+def _claim_pure_squares_level_four(config: SuiteConfig, rng: Random) -> dict:
     failures = []
     for n in (3, 4, 5):
         for _ in range(200):
@@ -202,11 +198,10 @@ def _claim_pure_squares_level_four(config: SuiteConfig) -> dict:
         parameters={"n": "3..5", "words_per_n": 200},
         computed={"failures": failures},
         expected={"failures": []},
-        seed="c04",
     )
 
 
-def _claim_torelli_chains(config: SuiteConfig) -> dict:
+def _claim_torelli_chains(config: SuiteConfig, rng: Random) -> dict:
     cases = [(3, 2), (4, 2), (5, 2), (5, 4), (6, 4), (7, 4)]
     bad = [
         [n, k]
@@ -221,7 +216,7 @@ def _claim_torelli_chains(config: SuiteConfig) -> dict:
     )
 
 
-def _claim_image_orders(config: SuiteConfig) -> dict:
+def _claim_image_orders(config: SuiteConfig, rng: Random) -> dict:
     def sl2_order(p: int) -> int:
         return p * (p - 1) * (p + 1)
 
@@ -244,7 +239,7 @@ def _claim_image_orders(config: SuiteConfig) -> dict:
     )
 
 
-def _claim_abelianization_ranks(config: SuiteConfig) -> dict:
+def _claim_abelianization_ranks(config: SuiteConfig, rng: Random) -> dict:
     expected = {"3,2": [3, []], "3,3": [4, []], "3,4": [6, []]}
     computed = {}
     for key in sorted(expected):
@@ -259,7 +254,7 @@ def _claim_abelianization_ranks(config: SuiteConfig) -> dict:
     )
 
 
-def _claim_conjugation_action(config: SuiteConfig) -> dict:
+def _claim_conjugation_action(config: SuiteConfig, rng: Random) -> dict:
     twist = full_twist(3)
     results = {}
     for m in (3, 4):
@@ -286,7 +281,7 @@ def _claim_conjugation_action(config: SuiteConfig) -> dict:
     )
 
 
-def _claim_center_holonomy(config: SuiteConfig) -> dict:
+def _claim_center_holonomy(config: SuiteConfig, rng: Random) -> dict:
     group = enumerate_image(3, 3, config.element_cap)
     center = image_center(group)
     twist_mat = burau_matrix_mod(full_twist(3), 3)
@@ -317,8 +312,7 @@ def _random_element(rng: Random, n: int, max_length: int = 12) -> CrystElement:
     return normal_form(random_word(rng, n, max_length))
 
 
-def _claim_power_map_structure(config: SuiteConfig) -> dict:
-    rng = _claim_rng(config, "c10")
+def _claim_power_map_structure(config: SuiteConfig, rng: Random) -> dict:
     cases = [(3, 3), (3, 5), (4, 3), (5, 3)]
     computed: dict[str, object] = {
         f"homomorphism_{n}_{m}": power_map_is_homomorphism(n, m) for (n, m) in cases
@@ -361,12 +355,10 @@ def _claim_power_map_structure(config: SuiteConfig) -> dict:
         computed=computed,
         expected=expected,
         detail=detail,
-        seed="c10",
     )
 
 
-def _claim_cohopf_witness(config: SuiteConfig) -> dict:
-    rng = _claim_rng(config, "c11")
+def _claim_cohopf_witness(config: SuiteConfig, rng: Random) -> dict:
     sigma_class = normal_form(BraidWord(3, (1,)))
     witness = not in_power_image(3, 3, sigma_class)
     injective = True
@@ -383,12 +375,10 @@ def _claim_cohopf_witness(config: SuiteConfig) -> dict:
         parameters={"n": 3, "m": 3, "pairs": 1000},
         computed=computed,
         expected=expected,
-        seed="c11",
     )
 
 
-def _claim_normal_form_soundness(config: SuiteConfig) -> dict:
-    rng = _claim_rng(config, "c12")
+def _claim_normal_form_soundness(config: SuiteConfig, rng: Random) -> dict:
     mult_failures = 0
     for _ in range(1000):
         n = rng.randint(3, 6)
@@ -429,12 +419,10 @@ def _claim_normal_form_soundness(config: SuiteConfig) -> dict:
         parameters={"pairs": 1000, "commutators": 200, "conjugations": 500},
         computed=computed,
         expected=expected,
-        seed="c12",
     )
 
 
-def _claim_transvection_agreement(config: SuiteConfig) -> dict:
-    rng = _claim_rng(config, "c13")
+def _claim_transvection_agreement(config: SuiteConfig, rng: Random) -> dict:
     computed = {}
     for (n, m) in [(3, 2), (3, 3), (5, 2), (5, 3)]:
         computed[f"{n},{m}"] = check_transvection_model(
@@ -446,11 +434,10 @@ def _claim_transvection_agreement(config: SuiteConfig) -> dict:
         parameters={"cases": sorted(computed), "samples": 200},
         computed=computed,
         expected=expected,
-        seed="c13",
     )
 
 
-CLAIMS: tuple[tuple[str, Callable[[SuiteConfig], dict]], ...] = (
+CLAIMS: tuple[tuple[str, Callable[[SuiteConfig, Random], dict]], ...] = (
     ("c01-generator-power-kernel", _claim_generator_powers),
     ("c02-full-twist-order", _claim_full_twist_orders),
     ("c03-level-two-is-pure", _claim_level_two_purity),
@@ -476,8 +463,11 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
         if not config.selected(claim_id):
             continue
         t0 = time.perf_counter()
+        seed = f"{config.seed}:{claim_id.partition('-')[0]}"
+        rng = Random(seed)
+        fresh = rng.getstate()
         try:
-            fields = runner(config)
+            fields = runner(config, rng)
         except LimitExceeded as exc:
             result = ClaimResult(
                 claim_id=claim_id,
@@ -492,8 +482,8 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
             status = "pass" if fields["computed"] == fields["expected"] else "fail"
             result = ClaimResult(claim_id=claim_id, status=status, **fields)
         result.runtime_ms = (time.perf_counter() - t0) * 1000.0
-        if result.seed:
-            result.seed = f"{config.seed}:{result.seed}"
+        if rng.getstate() != fresh:
+            result.seed = seed
         results.append(result)
     total_ms = (time.perf_counter() - started) * 1000.0
     return VerificationReport(

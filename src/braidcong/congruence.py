@@ -17,7 +17,7 @@ from random import Random
 from . import matrices
 # mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
 from .matrices import IntMatrix, mat_mul  # noqa: F401
-from .burau import ModularMatrix, burau_matrix_mod
+from .burau import ModularMatrix, _apply_letter, burau_matrix_mod
 from .smith import smith_normal_form
 from .words import BraidWord, check_strand_count, random_word
 
@@ -42,11 +42,19 @@ __all__ = [
 
 
 class LimitExceeded(RuntimeError):
-    """An enumeration or table size cap was hit; carries the partial size."""
+    """An enumeration or table size cap was hit.
 
-    def __init__(self, message: str, partial: int | None = None):
+    Carries the partial size and the stage that hit its cap: "image" for the
+    element cap of enumerate_image, "coset" for the coset cap of
+    abelianization.
+    """
+
+    def __init__(
+        self, message: str, partial: int | None = None, stage: str | None = None
+    ):
         super().__init__(message)
         self.partial = partial
+        self.stage = stage
 
 
 def is_member(w: BraidWord, m: int) -> bool:
@@ -92,30 +100,11 @@ def decode_matrix(data: bytes, n: int, m: int) -> ModularMatrix:
     return ModularMatrix(m, tuple(flat[r * n : (r + 1) * n] for r in range(n)))
 
 
-def _right_letter(state: tuple[int, ...], n: int, m: int, letter: int) -> tuple[int, ...]:
-    # state times a generator image, on row-major residues: as in
-    # burau._apply_letter, only columns i and i+1 change
-    i = abs(letter) - 1
-    a, b = state[i::n], state[i + 1 :: n]
-    out = list(state)
-    if letter > 0:
-        out[i::n] = [(2 * x + y) % m for x, y in zip(a, b)]
-        out[i + 1 :: n] = [-x % m for x in a]
-    else:
-        out[i::n] = [-y % m for y in b]
-        out[i + 1 :: n] = [(x + 2 * y) % m for x, y in zip(a, b)]
-    return tuple(out)
-
-
-def _left_letter(state: tuple[int, ...], n: int, m: int, letter: int) -> tuple[int, ...]:
-    # a generator image times state: only rows i and i+1 change
-    i = abs(letter) - 1
-    top, bottom = state[i * n : (i + 1) * n], state[(i + 1) * n : (i + 2) * n]
-    if letter > 0:
-        top, bottom = tuple((2 * x - y) % m for x, y in zip(top, bottom)), top
-    else:
-        top, bottom = bottom, tuple((2 * y - x) % m for x, y in zip(top, bottom))
-    return state[: i * n] + top + bottom + state[(i + 2) * n :]
+def _row_letter(row: tuple[int, ...], letter: int, m: int) -> tuple[int, ...]:
+    # one matrix row times a generator image
+    out = [list(row)]
+    _apply_letter(out, letter, m)
+    return tuple(out[0])
 
 
 @dataclass(frozen=True)
@@ -127,6 +116,12 @@ class ImageGroup:
     element k by right multiplication with letter letter_order(n)[t].
     parents[k] is the (element, letter) pair that first reached element k,
     None for the identity; these pairs form the breadth-first tree.
+
+    Row r of g x is (row r of g) x, so every row of every element lies in the
+    orbit of the unit rows.  rows holds the orbit rows the search met, unit
+    rows first, in discovery order; row_images[t][r] is the number of
+    rows[r] times letter letters[t].  The tables cover every row of every
+    element, but not the rows met only as images.
     """
 
     n: int
@@ -136,6 +131,8 @@ class ImageGroup:
     edges: tuple[tuple[int, ...], ...]
     generator_images: tuple[ModularMatrix, ...] = field(compare=False)
     parents: tuple[tuple[int, int] | None, ...] = field(compare=False, repr=False)
+    rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    row_images: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
     @property
     def size(self) -> int:
@@ -159,24 +156,42 @@ class ImageGroup:
 def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     """Breadth-first closure of the generator images and their inverses.
 
-    States are row-major residue tuples, used directly as dict keys; each
-    letter changes two columns.  Byte elements are encoded once at the end.
+    A state is the tuple of its n row numbers in the orbit of the unit rows,
+    used directly as a dict key; a letter maps each row number through that
+    letter's table.  The tables grow only for rows of scanned states, so a
+    search stopped by the cap never closes the whole row orbit, which can
+    have about m^(n-1) rows.  Byte elements are encoded once at the end.
     """
     check_strand_count(n)
     if element_cap < 1:
         raise ValueError(f"element cap must be positive, got {element_cap}")
     letters = letter_order(n)
     gens = tuple(burau_matrix_mod(BraidWord(n, (l,)), m) for l in letters)
-    start = _flatten(ModularMatrix.identity(n, m))
+    rows = list(ModularMatrix.identity(n, m).entries)
+    row_index = {r: k for k, r in enumerate(rows)}
+    tables: list[list[int]] = [[] for _ in letters]
+    # bound to the growing lists, so they see rows appended later
+    lookups = [table.__getitem__ for table in tables]
+    filled = tables[0]
+    start = tuple(range(n))
     states = [start]
     index = {start: 0}
     parents: list[tuple[int, int] | None] = [None]
     edges: list[tuple[int, ...]] = []
     # states grows while it is scanned: discovery order is the numbering
     for k, current in enumerate(states):
-        row = []
-        for letter in letters:
-            product = _right_letter(current, n, m, letter)
+        while len(filled) <= max(current):
+            source = rows[len(filled)]
+            for letter, table in zip(letters, tables):
+                image = _row_letter(source, letter, m)
+                r = row_index.get(image)
+                if r is None:
+                    r = row_index[image] = len(rows)
+                    rows.append(image)
+                table.append(r)
+        out = []
+        for letter, lookup in zip(letters, lookups):
+            product = tuple(map(lookup, current))
             target = index.get(product)
             if target is None:
                 if len(states) >= element_cap:
@@ -184,40 +199,59 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
                         f"image of ({n}, {m}) exceeds the element cap "
                         f"{element_cap}; partial size {len(states)}",
                         partial=len(states),
+                        stage="image",
                     )
                 target = len(states)
                 index[product] = target
                 states.append(product)
                 parents.append((k, letter))
-            row.append(target)
-        edges.append(tuple(row))
+            out.append(target)
+        edges.append(tuple(out))
     width = _entry_width(m)
+    row_bytes = [_encode_flat(r, width) for r in rows]
     return ImageGroup(
         n=n,
         m=m,
         letters=letters,
-        elements=tuple(_encode_flat(s, width) for s in states),
+        elements=tuple(b"".join(map(row_bytes.__getitem__, s)) for s in states),
         edges=tuple(edges),
         generator_images=gens,
         parents=tuple(parents),
+        rows=tuple(rows),
+        row_images=tuple(map(tuple, tables)),
     )
 
 
 def image_center(group: ImageGroup) -> tuple[int, ...]:
     """Elements commuting with every generator image, as element numbers.
 
-    Each element is tested on its residue tuple: the right action of a
-    letter (two columns) against its left action (two rows).
+    Each element is tested on its row numbers.  For a positive letter
+    sigma_i with table R, g sigma_i = sigma_i g exactly when R fixes every
+    row of g but rows i and i+1, maps row i+1 to row i, and maps row i to
+    2 row_i - row_(i+1).
     """
     n, m, width = group.n, group.m, _entry_width(group.m)
-    positive = [l for l in group.letters if l > 0]
+    rows, step = group.rows, n * width
+    # an element's bytes are the bytes of its rows, joined
+    row_index = {_encode_flat(r, width): k for k, r in enumerate(rows)}
+    tests = []
+    for letter, table in zip(group.letters, group.row_images):
+        if letter > 0:
+            others = [r for r in range(n) if r not in (letter - 1, letter)]
+            tests.append((letter - 1, letter, table, others))
     central = []
     for k, data in enumerate(group.elements):
-        state = _decode_flat(data, width)
-        if all(
-            _right_letter(state, n, m, l) == _left_letter(state, n, m, l)
-            for l in positive
-        ):
+        ids = [row_index[data[j : j + step]] for j in range(0, len(data), step)]
+        for a, b, table, others in tests:
+            if table[ids[b]] != ids[a] or any(
+                table[ids[r]] != ids[r] for r in others
+            ):
+                break
+            top, bottom = rows[ids[a]], rows[ids[b]]
+            twice = tuple((2 * x - y) % m for x, y in zip(top, bottom))
+            if table[ids[a]] != row_index.get(_encode_flat(twice, width)):
+                break
+        else:
             central.append(k)
     return tuple(central)
 
@@ -367,6 +401,7 @@ def abelianization(
             f"index of ({n}, {m}) exceeds the coset cap {coset_cap}; "
             f"partial size {err.partial}",
             partial=err.partial,
+            stage="coset",
         ) from err
     size = table.size
     degree = size * (n - 1)

@@ -16,4 +16,7 @@ def test_seed_2026_suite_fails_only_the_plain_additivity_claim():
             assert r.status == "pass", r.claim_id
             assert r.computed == r.expected
     assert not report.passed
+    # a claim logs the seed of its generator exactly when it drew from it
+    seeds = {r.claim_id[:3]: r.seed for r in report.results if r.seed}
+    assert seeds == {t: f"2026:{t}" for t in ("c03", "c04", "c10", "c11", "c12", "c13")}
 

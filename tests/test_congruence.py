@@ -1,9 +1,11 @@
 """Membership, image enumeration, coset tables, and abelianizations."""
 
+import math
 from random import Random
 
 import pytest
 
+from braidcong import congruence
 from braidcong.congruence import (
     LimitExceeded,
     abelianization,
@@ -109,6 +111,27 @@ def test_enumeration_respects_cap():
     with pytest.raises(LimitExceeded) as err:
         enumerate_image(3, 3, element_cap=10)
     assert err.value.partial == 10
+    assert err.value.stage == "image"
+
+
+def test_capped_enumeration_does_bounded_row_work(monkeypatch):
+    """The row orbit of e_1 at (3, 10007) has about 10^8 rows; a search
+    stopped after ten elements must fill the letter tables for a few rows
+    only, not close the orbit."""
+    calls = []
+    row_letter = congruence._row_letter
+
+    def counted(row, letter, m):
+        calls.append(letter)
+        if len(calls) > 200:
+            raise AssertionError("row work is not bounded by the scanned states")
+        return row_letter(row, letter, m)
+
+    monkeypatch.setattr(congruence, "_row_letter", counted)
+    with pytest.raises(LimitExceeded) as err:
+        enumerate_image(3, 10007, element_cap=10)
+    assert err.value.partial == 10
+    assert 0 < len(calls) <= 200
 
 
 def test_enumeration_is_closed_under_generators():
@@ -142,11 +165,13 @@ def test_image_center_contains_full_twist_at_four_strands():
     assert any(g.matrix(k) == twist for k in center)
 
 
-@pytest.mark.parametrize("n, m", [(4, 3), (6, 2), (3, 5), (2, 257)])
+@pytest.mark.parametrize("n, m", [(4, 3), (6, 2), (3, 5), (2, 257), (4, 4), (3, 16)])
 def test_image_search_agrees_with_modular_matrix_products(n, m):
-    """Oracle: the old path, ModularMatrix products and a second tree pass.
+    """Oracle: ModularMatrix products, brute-force commutation and a second
+    tree pass.
 
-    At m = 257 every residue takes two bytes.
+    At m = 257 every residue takes two bytes.  At the composite levels
+    (4, 4) and (3, 16) the row orbit is much larger than n.
     """
     g = enumerate_image(n, m)
     table = coset_table(n, m)
@@ -187,6 +212,16 @@ def test_five_strand_level_three_image_is_sp4_f3():
     g = enumerate_image(5, 3)
     assert g.size == 3**4 * (3**2 - 1) * (3**4 - 1) == 51840
     assert len(image_center(g)) == 2
+
+
+def test_five_strand_level_four_image_order():
+    """|B5 / B5[4]| = 5! * 2^10: B5[2] is the pure braid group, and
+    B5[2] / B5[4] is (F_2)^10, one coordinate per strand pair."""
+    g = enumerate_image(5, 4)
+    assert g.size == 122_880 == math.factorial(5) * 2**10
+    center = image_center(g)
+    assert len(center) == 2
+    assert g.matrix(center[1]) == burau_matrix_mod(full_twist(5), 4)
 
 
 def test_coset_table_layout():
@@ -262,10 +297,10 @@ def test_abelianization_respects_coset_cap():
     # the enumeration stops at the coset cap instead of finishing the image
     with pytest.raises(LimitExceeded, match="coset cap 5") as err:
         abelianization(3, 3, coset_cap=5)
-    assert err.value.partial == 5
+    assert (err.value.partial, err.value.stage) == (5, "coset")
     with pytest.raises(LimitExceeded, match="element cap 5") as err:
         abelianization(3, 3, coset_cap=10, element_cap=5)
-    assert err.value.partial == 5
+    assert (err.value.partial, err.value.stage) == (5, "image")
     assert abelianization(3, 3, coset_cap=24).table.size == 24
     with pytest.raises(ValueError):
         abelianization(3, 3, coset_cap=0)
