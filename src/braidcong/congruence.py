@@ -9,14 +9,15 @@ the coset table, followed by an integer Smith normal form.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
 from random import Random
 
 from . import matrices
 # mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
-from .matrices import IntMatrix, mat_mul  # noqa: F401
+from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
 from .burau import ModularMatrix, _apply_letter, burau_matrix_mod
 from .smith import smith_normal_form
 from .words import BraidWord, check_strand_count, random_word
@@ -320,33 +321,36 @@ def artin_relators(n: int) -> tuple[BraidWord, ...]:
     return tuple(rels)
 
 
-def _rewrite(table: CosetTable, start: int, w: BraidWord) -> tuple[list[int], int]:
-    # Schreier rewriting: walk w from a 0-based coset, logging one exponent
-    # per (coset, generator index) coordinate; returns (coords, final coset)
+def _rewrite(table: CosetTable, start: int, w: BraidWord) -> tuple[SparseVector, int]:
+    # Schreier rewriting: walk w from a 0-based coset, summing one exponent
+    # per (coset, generator index) coordinate; returns the nonzero sums and
+    # the final coset
     n = table.n
-    coords = [0] * (table.size * (n - 1))
+    coords: SparseVector = {}
     x = start
     for letter in w.letters:
         if letter > 0:
-            coords[x * (n - 1) + letter - 1] += 1
+            k = x * (n - 1) + letter - 1
+            coords[k] = coords.get(k, 0) + 1
             x = table.action[x][(letter - 1) * 2]
         else:
-            y = table.action[x][(-letter - 1) * 2 + 1]
-            coords[y * (n - 1) + (-letter) - 1] -= 1
-            x = y
-    return coords, x
+            x = table.action[x][(-letter - 1) * 2 + 1]
+            k = x * (n - 1) - letter - 1
+            coords[k] = coords.get(k, 0) - 1
+    return {k: e for k, e in coords.items() if e}, x
 
 
-def subgroup_coordinates(table: CosetTable, w: BraidWord) -> tuple[int, ...]:
-    """Exponent vector of a subgroup member over the Schreier generators.
+def subgroup_coordinates(table: CosetTable, w: BraidWord) -> SparseVector:
+    """Exponents of a subgroup member over the Schreier generators.
 
-    Coordinate c*(n-1) + (i-1) counts the generator of 0-based coset c and
-    braid index i.  Raises when the word is not in the subgroup.
+    Returns {coordinate: exponent} without zeros.  Coordinate c*(n-1) + (i-1)
+    counts the generator of 0-based coset c and braid index i.  Raises when
+    the word is not in the subgroup.
     """
     coords, final = _rewrite(table, 0, w)
     if final != 0:
         raise ValueError("word is not a member of the subgroup")
-    return tuple(coords)
+    return coords
 
 
 @dataclass(frozen=True)
@@ -354,10 +358,11 @@ class AbelianizationResult:
     """Abelian invariants of the level-m subgroup with change-of-basis data.
 
     The subgroup abelianization is Z^free_rank plus one cyclic factor per
-    invariant factor.  Coordinates transform by the right matrix of the Smith
-    form: for an exponent vector x over the Schreier generators, x @ right
+    invariant factor.  Coordinates transform by the right matrix R of the
+    Smith form: for an exponent vector x over the Schreier generators, x R
     has its torsion coordinates first (positions with nonzero diagonal) and
-    its free coordinates at positions rank.. of the diagonal.
+    its free coordinates at positions rank.. of the diagonal.  R is kept as
+    sparse columns (right_columns[j] = {k: R[k][j]}) and R^-1 as sparse rows.
     """
 
     n: int
@@ -369,13 +374,26 @@ class AbelianizationResult:
     rank: int
     invariant_factors: tuple[int, ...]
     free_rank: int
-    right: IntMatrix = field(repr=False)
-    right_inverse: IntMatrix = field(repr=False)
+    right_columns: tuple[SparseVector, ...] = field(repr=False)
+    right_inverse_rows: tuple[SparseVector, ...] = field(repr=False)
 
-    def free_coordinates(self, x: tuple[int, ...]) -> tuple[int, ...]:
-        """Project an exponent vector to the free part of the abelianization."""
-        y = matrices.vec_mat(x, self.right)
-        return y[self.rank :]
+    def free_coordinates(self, x: SparseVector | Sequence[int]) -> tuple[int, ...]:
+        """Project an exponent vector to the free part of the abelianization.
+
+        x is {coordinate: exponent}, as subgroup_coordinates returns, or a
+        dense vector of num_generators entries.
+        """
+        degree = self.num_generators
+        if not isinstance(x, Mapping):
+            if len(x) != degree:
+                raise ValueError(f"length mismatch: {degree} generators vs {len(x)} entries")
+            x = matrices.sparse(x)
+        elif any(not 0 <= k < degree for k in x):
+            raise ValueError(f"coordinate out of range 0..{degree - 1}")
+        return tuple(
+            sum(column.get(k, 0) * e for k, e in x.items())
+            for column in self.right_columns[self.rank :]
+        )
 
 
 def abelianization(
@@ -403,26 +421,8 @@ def abelianization(
             partial=err.partial,
             stage="coset",
         ) from err
-    size = table.size
-    degree = size * (n - 1)
-    relators = artin_relators(n)
-    rows: list[list[int]] = []
-    for c in range(size):
-        for rel in relators:
-            coords, final = _rewrite(table, c, rel)
-            if final != c:
-                raise RuntimeError("relator does not fix a coset; table bug")
-            rows.append(coords)
-    for c in range(1, size):
-        word = table.transversals[c]
-        last = word[-1]
-        parent = table.trace(c + 1, BraidWord(n, (-last,))) - 1
-        row = [0] * degree
-        if last > 0:
-            row[parent * (n - 1) + last - 1] = 1
-        else:
-            row[c * (n - 1) + (-last) - 1] = 1
-        rows.append(row)
+    degree = table.size * (n - 1)
+    rows = _relation_rows(table)
     form = smith_normal_form(rows)
     return AbelianizationResult(
         n=n,
@@ -434,9 +434,40 @@ def abelianization(
         rank=form.rank,
         invariant_factors=form.invariant_factors,
         free_rank=degree - form.rank,
-        right=form.right,
-        right_inverse=form.right_inverse,
+        right_columns=form.right_columns,
+        right_inverse_rows=form.right_inverse_rows,
     )
+
+
+def _relation_rows(table: CosetTable) -> list[array]:
+    # the rewritten relators from every coset, then the tree-edge unit rows,
+    # as dense rows of signed bytes: a relator has six letters at most
+    n = table.n
+    degree = table.size * (n - 1)
+    relators = artin_relators(n)
+    rows = []
+    for c in range(table.size):
+        for rel in relators:
+            coords, final = _rewrite(table, c, rel)
+            if final != c:
+                raise RuntimeError("relator does not fix a coset; table bug")
+            rows.append(_dense_bytes(coords, degree))
+    for c in range(1, table.size):
+        last = table.transversals[c][-1]
+        if last > 0:
+            parent = table.action[c][(last - 1) * 2 + 1]
+            coords = {parent * (n - 1) + last - 1: 1}
+        else:
+            coords = {c * (n - 1) - last - 1: 1}
+        rows.append(_dense_bytes(coords, degree))
+    return rows
+
+
+def _dense_bytes(coords: SparseVector, degree: int) -> array:
+    row = array("b", bytes(degree))
+    for k, e in coords.items():
+        row[k] = e
+    return row
 
 
 @dataclass(frozen=True)
@@ -460,58 +491,54 @@ class ActionMatrix:
 def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     """Matrix of conjugation by a braid word on the subgroup abelianization.
 
-    Each Schreier generator s maps to the rewritten coordinates of
-    w^{-1} s w.  Of that coordinate matrix conjugated into the Smith basis,
+    Each Schreier generator s maps to the rewritten coordinates theta(s) of
+    w^-1 s w.  Of that coordinate matrix conjugated into the Smith basis,
     R^-1 theta R, only the columns read are formed, as R^-1 (theta R[:, wanted])
-    over the nonzero coefficients: the free columns, which give the free block
-    and the check that the relation lattice is preserved, and the torsion
-    columns, which give the torsion leak.
+    over sparse rows: the free columns, which give the free block and the
+    check that the relation lattice is preserved, and the torsion columns,
+    which give the torsion leak.
     """
     if w.n != ab.n:
         raise ValueError(f"strand count mismatch: {w.n} vs {ab.n}")
     table = ab.table
     n = ab.n
     degree = ab.num_generators
-    winv = w.inverse()
     rank = ab.rank
     torsion = [t for t in range(rank) if ab.diagonal[t] > 1]
     wanted = torsion + list(range(rank, degree))
-    right_wanted = [[row[s] for s in wanted] for row in ab.right]
-    # theta R[:, wanted], one row per Schreier generator s: the coordinates
-    # of w^-1 s w times R
+    # the rows of R[:, wanted], sparse
+    right_wanted: list[SparseVector] = [{} for _ in range(degree)]
+    for j, t in enumerate(wanted):
+        for k, x in ab.right_columns[t].items():
+            right_wanted[k][j] = x
+    head = tuple(-x for x in reversed(w.letters))
+    backs = [tuple(-x for x in reversed(tau)) for tau in table.transversals]
+    # theta R[:, wanted], one row per Schreier generator
+    # s = tau_c sigma_i tau_(c sigma_i)^-1
     theta_right = []
-    for c in range(table.size):
-        tau = BraidWord(n, table.transversals[c])
+    for c, tau in enumerate(table.transversals):
         for i in range(1, n):
-            target = table.trace(c + 1, BraidWord(n, (i,)))
-            gen_word = tau * BraidWord(n, (i,)) * table.transversal(target).inverse()
-            coords = subgroup_coordinates(table, winv * gen_word * w)
-            theta_right.append(_sparse_combination(coords, right_wanted, len(wanted)))
+            back = backs[table.action[c][(i - 1) * 2]]
+            word = BraidWord(n, head + tau + (i,) + back + w.letters)
+            coords = subgroup_coordinates(table, word)
+            theta_right.append(matrices.sparse_combination(coords, right_wanted))
     conjugated = [
-        _sparse_combination(row, theta_right, len(wanted)) for row in ab.right_inverse
+        matrices.sparse_combination(row, theta_right) for row in ab.right_inverse_rows
     ]
     k = len(torsion)
     for t in range(rank):
-        if any(conjugated[t][k:]):
+        if any(j >= k for j in conjugated[t]):
             raise RuntimeError("action does not preserve the relation lattice")
     leaks = []
     for s in range(rank, degree):
         for j, t in enumerate(torsion):
-            d = ab.diagonal[t]
-            if conjugated[s][j] % d:
-                leaks.append((s - rank, t, conjugated[s][j] % d))
-    free_block = tuple(tuple(row[k:]) for row in conjugated[rank:])
+            residue = conjugated[s].get(j, 0) % ab.diagonal[t]
+            if residue:
+                leaks.append((s - rank, t, residue))
+    free_block = tuple(
+        tuple(row.get(j, 0) for j in range(k, len(wanted))) for row in conjugated[rank:]
+    )
     return ActionMatrix(matrix=free_block, word=w, torsion_leak=tuple(leaks))
-
-
-def _sparse_combination(coeffs, rows: list, width: int) -> list[int]:
-    # sum of coeffs[k] * rows[k] over the nonzero coefficients
-    out = [0] * width
-    for q, row in compress(zip(coeffs, rows), coeffs):
-        for j, x in enumerate(row):
-            if x:
-                out[j] += q * x
-    return out
 
 
 def divisibility_check(n: int, m: int, k: int, samples: int, seed: int = 0) -> bool:

@@ -1,8 +1,15 @@
-"""Exact integer matrix helpers on immutable tuple-of-rows values."""
+"""Exact integer matrix helpers on immutable tuple-of-rows values.
+
+Sparse vectors are dicts {index: entry} that hold no zero entries.
+"""
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
+from itertools import compress
+
 IntMatrix = tuple[tuple[int, ...], ...]
+SparseVector = dict[int, int]
 
 
 def identity(n: int) -> IntMatrix:
@@ -19,11 +26,41 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
+    if a and len(v) != len(a[0]):
+        raise ValueError(f"length mismatch: {len(a[0])} columns vs {len(v)} entries")
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
 def vec_mat(v: tuple[int, ...], a: IntMatrix) -> tuple[int, ...]:
+    if len(v) != len(a):
+        raise ValueError(f"length mismatch: {len(v)} entries vs {len(a)} rows")
     return tuple(sum(v[r] * a[r][c] for r in range(len(v))) for c in range(len(a[0])))
+
+
+def sparse(row: Sequence[int]) -> SparseVector:
+    """The nonzero entries of a dense row, by position."""
+    return dict(compress(enumerate(row), row))
+
+
+def add_multiple(dst: SparseVector, src: SparseVector, q: int) -> None:
+    """dst -= q * src, in place."""
+    for k, x in src.items():
+        y = dst.get(k, 0) - q * x
+        if y:
+            dst[k] = y
+        else:
+            del dst[k]
+
+
+def sparse_combination(
+    coeffs: Mapping[int, int], vectors: Sequence[SparseVector]
+) -> SparseVector:
+    """The sum of q * vectors[k] over the entries k: q of coeffs."""
+    out: SparseVector = {}
+    for k, q in coeffs.items():
+        if q:
+            add_multiple(out, vectors[k], -q)
+    return out
 
 
 def transpose(a: IntMatrix) -> IntMatrix:

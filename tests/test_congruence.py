@@ -1,6 +1,7 @@
 """Membership, image enumeration, coset tables, and abelianizations."""
 
 import math
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -23,6 +24,7 @@ from braidcong.congruence import (
 )
 from braidcong.burau import ModularMatrix, burau_matrix_mod
 from braidcong.matrices import mat_mul
+from braidcong.smith import smith_normal_form
 from braidcong.words import (
     BraidWord,
     full_twist,
@@ -273,7 +275,8 @@ def test_subgroup_coordinates_additive_on_members():
         cu = subgroup_coordinates(t, u)
         cv = subgroup_coordinates(t, v)
         cuv = subgroup_coordinates(t, u * v)
-        assert cuv == tuple(a + b for a, b in zip(cu, cv))
+        total = {k: cu.get(k, 0) + cv.get(k, 0) for k in cu.keys() | cv.keys()}
+        assert cuv == {k: e for k, e in total.items() if e}
     with pytest.raises(ValueError):
         subgroup_coordinates(t, BraidWord(3, (1,)))
 
@@ -359,23 +362,98 @@ def test_conjugation_action_central_twist():
         assert conjugation_action(ab, full_twist(3)).is_identity()
 
 
+def _dense(vector, degree):
+    return tuple(vector.get(k, 0) for k in range(degree))
+
+
+def _dense_action_rows(ab, w):
+    """Rows rank.. of R^-1 theta R, with R, R^-1 and theta made dense here."""
+    table, n, degree = ab.table, ab.n, ab.num_generators
+    theta = []
+    for c in range(1, table.size + 1):
+        for i in range(1, n):
+            s = BraidWord(n, (i,))
+            gen = table.transversal(c) * s * table.transversal(table.trace(c, s)).inverse()
+            theta.append(_dense(subgroup_coordinates(table, w.inverse() * gen * w), degree))
+    right = tuple(zip(*(_dense(column, degree) for column in ab.right_columns)))
+    lower = tuple(_dense(row, degree) for row in ab.right_inverse_rows[ab.rank :])
+    return mat_mul(mat_mul(lower, tuple(theta)), right)
+
+
 def test_conjugation_action_matches_the_dense_product():
     """Oracle: the free block of the full product R^-1 theta R."""
     rng = Random(712)
-    for n, m in ((3, 4), (4, 2)):
+    for n, m in ((3, 4), (4, 2), (3, 6)):
         ab = abelianization(n, m)
-        table = ab.table
         for _ in range(3):
             w = random_word(rng, n, 10)
-            theta = []
-            for c in range(1, table.size + 1):
-                for i in range(1, n):
-                    s = BraidWord(n, (i,))
-                    gen = table.transversal(c) * s * table.transversal(table.trace(c, s)).inverse()
-                    theta.append(subgroup_coordinates(table, w.inverse() * gen * w))
-            full = mat_mul(mat_mul(ab.right_inverse, tuple(theta)), ab.right)
-            free_block = tuple(tuple(row[ab.rank :]) for row in full[ab.rank :])
+            full = _dense_action_rows(ab, w)
+            free_block = tuple(tuple(row[ab.rank :]) for row in full)
             assert conjugation_action(ab, w).matrix == free_block
+
+
+def test_torsion_leaks_on_a_quotient_with_torsion():
+    """A quotient of the level-2 abelianization whose torsion the action reaches.
+
+    At level 2 the free part is Z^3 on the pair generators A_12, A_13, A_23,
+    which conjugation permutes.  Adding the relations 3(A_12 - A_13) and
+    3(A_13 - A_23) leaves Z + (Z/3)^2, and no lift of the free generator is
+    fixed by both sigma_1 and sigma_2 modulo 3, so one of them leaks.
+    """
+    ab = abelianization(3, 2)
+    degree = ab.num_generators
+    pairs = [
+        _dense(subgroup_coordinates(ab.table, pure_generator(3, i, j)), degree)
+        for i, j in ((1, 2), (1, 3), (2, 3))
+    ]
+    rows = congruence._relation_rows(ab.table)
+    for a, b in ((0, 1), (1, 2)):
+        rows.append([3 * (x - y) for x, y in zip(pairs[a], pairs[b])])
+    form = smith_normal_form(rows)
+    quotient = replace(
+        ab,
+        num_relations=len(rows),
+        diagonal=form.diagonal,
+        rank=form.rank,
+        invariant_factors=form.invariant_factors,
+        free_rank=degree - form.rank,
+        right_columns=form.right_columns,
+        right_inverse_rows=form.right_inverse_rows,
+    )
+    assert (quotient.free_rank, quotient.invariant_factors) == (1, (3, 3))
+    torsion = [t for t in range(form.rank) if form.diagonal[t] > 1]
+    leaked = False
+    for w in (BraidWord(3, (1,)), BraidWord(3, (2,))):
+        act = conjugation_action(quotient, w)
+        full = _dense_action_rows(quotient, w)
+        expect = tuple(
+            (s, t, row[t] % form.diagonal[t])
+            for s, row in enumerate(full)
+            for t in torsion
+            if row[t] % form.diagonal[t]
+        )
+        assert act.matrix == ((1,),)
+        assert act.torsion_leak == expect
+        leaked = leaked or bool(expect)
+    assert leaked
+    assert conjugation_action(quotient, full_twist(3)).is_identity()
+
+
+def test_free_coordinates_reject_wrong_lengths():
+    ab = abelianization(3, 2)
+    assert ab.num_generators == 12
+    x = subgroup_coordinates(ab.table, pure_generator(3, 1, 3))
+    assert ab.free_coordinates(_dense(x, 12)) == ab.free_coordinates(x)
+    for bad in ((1,), (0,) * 13, {12: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            ab.free_coordinates(bad)
+
+
+def test_four_strand_level_four_abelianization():
+    ab = abelianization(4, 4)
+    assert (ab.table.size, ab.num_generators, ab.num_relations) == (1536, 4608, 6143)
+    assert (ab.rank, ab.free_rank, ab.invariant_factors) == (4587, 21, ())
+    assert conjugation_action(ab, full_twist(4)).is_identity()
 
 
 def test_conjugation_action_level_two_faithful_on_cosets():

@@ -2,8 +2,14 @@
 
 from random import Random
 
-from braidcong.matrices import determinant, identity, mat_mul, mat_vec
+import pytest
+
+from braidcong import smith
+from braidcong.congruence import abelianization, conjugation_action
+from braidcong.cryst import element_order, torsion_search
+from braidcong.matrices import determinant, identity, mat_mul, mat_vec, sparse, vec_mat
 from braidcong.smith import _dense_smith, kernel_basis, smith_normal_form, solve_integer
+from braidcong.words import BraidWord, full_twist
 
 
 def _random_matrix(rng, rows, cols, bound=9):
@@ -29,6 +35,11 @@ def _check_form(a):
     assert mat_mul(s.right_inverse, s.right) == identity(cols)
     assert determinant(s.left) in (1, -1)
     assert determinant(s.right) in (1, -1)
+    # the dense views hold the sparse fields, rows of left and right^-1 and
+    # columns of right
+    assert tuple(map(sparse, s.left)) == s.left_rows
+    assert tuple(map(sparse, zip(*s.right))) == s.right_columns
+    assert tuple(map(sparse, s.right_inverse)) == s.right_inverse_rows
     return s
 
 
@@ -187,3 +198,36 @@ def test_rank_over_prime_fields_matches_the_diagonal():
         s = smith_normal_form(a)
         for p in (2, 3, 5, 7):
             assert _rank_mod(a, p) == sum(1 for d in s.diagonal if d % p)
+
+
+def test_library_paths_never_build_dense_transforms(monkeypatch):
+    """The dense views are for oracles; solving, kernels and actions stay sparse."""
+
+    def refuse(row, length):
+        raise AssertionError("a dense transform was built")
+
+    monkeypatch.setattr(smith, "_dense_row", refuse)
+    ab = abelianization(3, 4)
+    assert ab.free_rank == 6
+    assert conjugation_action(ab, full_twist(3)).is_identity()
+    assert len(conjugation_action(ab, BraidWord(3, (1, -2, 1))).matrix) == 6
+    a = ((2, 4, 0), (1, 3, 5))
+    x = solve_integer(a, (6, 9))
+    assert mat_vec(a, x) == (6, 9)
+    basis = kernel_basis(a)
+    assert len(basis) == 1 and mat_vec(a, basis[0]) == (0, 0)
+    assert element_order(torsion_search(5, 3)) == 3
+    with pytest.raises(AssertionError):
+        smith_normal_form(a).left
+
+
+def test_matrix_vector_products_check_lengths():
+    a = ((1, 2, 3), (4, 5, 6))
+    assert mat_vec(a, (1, 0, -1)) == (-2, -2)
+    assert vec_mat((1, -1), a) == (-3, -3, -3)
+    for v in ((1, 0), (1, 0, 0, 0)):
+        with pytest.raises(ValueError):
+            mat_vec(a, v)
+    for v in ((1,), (1, 0, 0)):
+        with pytest.raises(ValueError):
+            vec_mat(v, a)
