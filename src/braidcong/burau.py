@@ -348,13 +348,19 @@ def transvection_generator(n: int, i: int, sign: int = 1) -> IntMatrix:
 
 
 def _chain_matrix_mod(w: BraidWord, m: int) -> IntMatrix:
-    out = matrices.identity(w.n - 1)
-    for k in w.letters:
-        g = transvection_generator(w.n, abs(k), 1 if k > 0 else -1)
-        out = tuple(
-            tuple(x % m for x in row) for row in matrices.mat_mul(out, g)
-        )
-    return out
+    # right-multiply in place by each transvection: for letter +-(i+1),
+    # column i-1 gains +-column i and column i+1 loses it
+    d = w.n - 1
+    out = [list(row) for row in matrices.identity(d)]
+    for letter in w.letters:
+        i = abs(letter) - 1
+        for row in out:
+            x = row[i] if letter > 0 else -row[i]
+            if i > 0:
+                row[i - 1] = (row[i - 1] + x) % m
+            if i + 1 < d:
+                row[i + 1] = (row[i + 1] - x) % m
+    return tuple(map(tuple, out))
 
 
 def check_transvection_model(n: int, m: int, samples: int = 200, seed: int = 0) -> bool:

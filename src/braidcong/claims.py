@@ -60,6 +60,11 @@ class SuiteConfig:
     element_cap: int = 10**6
     coset_cap: int = 10_000
 
+    def __post_init__(self) -> None:
+        for name in ("element_cap", "coset_cap"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+
     def selected(self, claim_id: str) -> bool:
         if self.claims is None:
             return True

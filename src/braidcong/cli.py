@@ -288,8 +288,6 @@ def _parse_config_file(path: str) -> dict:
                     raise ValueError(
                         f"{path}:{lineno}: {key} must be an integer, got {value!r}"
                     ) from None
-                if values[key] <= 0:
-                    raise ValueError(f"{path}:{lineno}: {key} must be positive")
     return values
 
 

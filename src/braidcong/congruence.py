@@ -30,12 +30,11 @@ __all__ = [
     "ActionMatrix",
     "is_member",
     "letter_order",
-    "encode_matrix",
-    "decode_matrix",
     "enumerate_image",
     "image_center",
     "coset_table",
     "artin_relators",
+    "subgroup_coordinates",
     "abelianization",
     "conjugation_action",
     "divisibility_check",
@@ -68,39 +67,6 @@ def letter_order(n: int) -> tuple[int, ...]:
     return tuple(s * i for i in range(1, n) for s in (1, -1))
 
 
-def _entry_width(m: int) -> int:
-    return ((m - 1).bit_length() + 7) // 8
-
-
-def _encode_flat(flat: tuple[int, ...], width: int) -> bytes:
-    if width == 1:
-        return bytes(flat)
-    return b"".join(x.to_bytes(width, "little") for x in flat)
-
-
-def _flatten(mat: ModularMatrix) -> tuple[int, ...]:
-    return tuple(x for row in mat.entries for x in row)
-
-
-def encode_matrix(mat: ModularMatrix) -> bytes:
-    """Canonical byte key: row-major residues, fixed-width little-endian."""
-    return _encode_flat(_flatten(mat), _entry_width(mat.m))
-
-
-def _decode_flat(data: bytes, width: int) -> tuple[int, ...]:
-    if width == 1:
-        return tuple(data)
-    return tuple(
-        int.from_bytes(data[k : k + width], "little")
-        for k in range(0, len(data), width)
-    )
-
-
-def decode_matrix(data: bytes, n: int, m: int) -> ModularMatrix:
-    flat = _decode_flat(data, _entry_width(m))
-    return ModularMatrix(m, tuple(flat[r * n : (r + 1) * n] for r in range(n)))
-
-
 def _row_letter(row: tuple[int, ...], letter: int, m: int) -> tuple[int, ...]:
     # one matrix row times a generator image
     out = [list(row)]
@@ -120,15 +86,16 @@ class ImageGroup:
 
     Row r of g x is (row r of g) x, so every row of every element lies in the
     orbit of the unit rows.  rows holds the orbit rows the search met, unit
-    rows first, in discovery order; row_images[t][r] is the number of
-    rows[r] times letter letters[t].  The tables cover every row of every
-    element, but not the rows met only as images.
+    rows first, in discovery order, and elements[k] is the tuple of the n row
+    numbers of element k; row_images[t][r] is the number of rows[r] times
+    letter letters[t].  The tables cover every row of every element, but not
+    the rows met only as images.
     """
 
     n: int
     m: int
     letters: tuple[int, ...]
-    elements: tuple[bytes, ...]
+    elements: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, ...], ...]
     generator_images: tuple[ModularMatrix, ...] = field(compare=False)
     parents: tuple[tuple[int, int] | None, ...] = field(compare=False, repr=False)
@@ -140,15 +107,20 @@ class ImageGroup:
         return len(self.elements)
 
     def matrix(self, k: int) -> ModularMatrix:
-        return decode_matrix(self.elements[k], self.n, self.m)
+        return ModularMatrix(self.m, tuple(map(self.rows.__getitem__, self.elements[k])))
 
     @cached_property
-    def _index(self) -> dict[bytes, int]:
+    def _row_numbers(self) -> dict[tuple[int, ...], int]:
+        return {row: r for r, row in enumerate(self.rows)}
+
+    @cached_property
+    def _index(self) -> dict[tuple[int, ...], int]:
         # built on the first lookup; enumerate_image and image_center need none
         return {e: k for k, e in enumerate(self.elements)}
 
     def index_of(self, mat: ModularMatrix) -> int:
-        k = self._index.get(encode_matrix(mat)) if mat.m == self.m else None
+        key = tuple(map(self._row_numbers.get, mat.entries)) if mat.m == self.m else ()
+        k = self._index.get(key)
         if k is None:
             raise KeyError("matrix is not in the enumerated image")
         return k
@@ -161,7 +133,7 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     used directly as a dict key; a letter maps each row number through that
     letter's table.  The tables grow only for rows of scanned states, so a
     search stopped by the cap never closes the whole row orbit, which can
-    have about m^(n-1) rows.  Byte elements are encoded once at the end.
+    have about m^(n-1) rows.
     """
     check_strand_count(n)
     if element_cap < 1:
@@ -208,13 +180,11 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
                 parents.append((k, letter))
             out.append(target)
         edges.append(tuple(out))
-    width = _entry_width(m)
-    row_bytes = [_encode_flat(r, width) for r in rows]
     return ImageGroup(
         n=n,
         m=m,
         letters=letters,
-        elements=tuple(b"".join(map(row_bytes.__getitem__, s)) for s in states),
+        elements=tuple(states),
         edges=tuple(edges),
         generator_images=gens,
         parents=tuple(parents),
@@ -231,18 +201,14 @@ def image_center(group: ImageGroup) -> tuple[int, ...]:
     row of g but rows i and i+1, maps row i+1 to row i, and maps row i to
     2 row_i - row_(i+1).
     """
-    n, m, width = group.n, group.m, _entry_width(group.m)
-    rows, step = group.rows, n * width
-    # an element's bytes are the bytes of its rows, joined
-    row_index = {_encode_flat(r, width): k for k, r in enumerate(rows)}
+    n, m, rows, row_numbers = group.n, group.m, group.rows, group._row_numbers
     tests = []
     for letter, table in zip(group.letters, group.row_images):
         if letter > 0:
             others = [r for r in range(n) if r not in (letter - 1, letter)]
             tests.append((letter - 1, letter, table, others))
     central = []
-    for k, data in enumerate(group.elements):
-        ids = [row_index[data[j : j + step]] for j in range(0, len(data), step)]
+    for k, ids in enumerate(group.elements):
         for a, b, table, others in tests:
             if table[ids[b]] != ids[a] or any(
                 table[ids[r]] != ids[r] for r in others
@@ -250,7 +216,7 @@ def image_center(group: ImageGroup) -> tuple[int, ...]:
                 break
             top, bottom = rows[ids[a]], rows[ids[b]]
             twice = tuple((2 * x - y) % m for x, y in zip(top, bottom))
-            if table[ids[a]] != row_index.get(_encode_flat(twice, width)):
+            if table[ids[a]] != row_numbers.get(twice):
                 break
         else:
             central.append(k)
@@ -281,17 +247,25 @@ class CosetTable:
             raise ValueError(f"letter {letter} out of range for {self.n} strands")
         return (abs(letter) - 1) * 2 + (0 if letter > 0 else 1)
 
+    def _check_coset(self, coset: int) -> None:
+        if not 1 <= coset <= self.size:
+            raise ValueError(f"coset {coset} out of range 1..{self.size}")
+
     def apply(self, coset: int, letter: int) -> int:
         """Right action of one letter on a 1-based coset number."""
+        self._check_coset(coset)
         return self.action[coset - 1][self._letter_pos(letter)] + 1
 
     def trace(self, coset: int, w: BraidWord) -> int:
+        self._check_coset(coset)
+        x = coset - 1
         for letter in w.letters:
-            coset = self.apply(coset, letter)
-        return coset
+            x = self.action[x][self._letter_pos(letter)]
+        return x + 1
 
     def transversal(self, coset: int) -> BraidWord:
         """The tree word carrying coset 1 to the given coset."""
+        self._check_coset(coset)
         return BraidWord(self.n, self.transversals[coset - 1])
 
 
@@ -321,14 +295,14 @@ def artin_relators(n: int) -> tuple[BraidWord, ...]:
     return tuple(rels)
 
 
-def _rewrite(table: CosetTable, start: int, w: BraidWord) -> tuple[SparseVector, int]:
-    # Schreier rewriting: walk w from a 0-based coset, summing one exponent
-    # per (coset, generator index) coordinate; returns the nonzero sums and
-    # the final coset
+def _rewrite(table: CosetTable, start: int, letters: Sequence[int]) -> tuple[SparseVector, int]:
+    # Schreier rewriting: walk the letters from a 0-based coset, summing one
+    # exponent per (coset, generator index) coordinate; returns the nonzero
+    # sums and the final coset
     n = table.n
     coords: SparseVector = {}
     x = start
-    for letter in w.letters:
+    for letter in letters:
         if letter > 0:
             k = x * (n - 1) + letter - 1
             coords[k] = coords.get(k, 0) + 1
@@ -347,7 +321,7 @@ def subgroup_coordinates(table: CosetTable, w: BraidWord) -> SparseVector:
     counts the generator of 0-based coset c and braid index i.  Raises when
     the word is not in the subgroup.
     """
-    coords, final = _rewrite(table, 0, w)
+    coords, final = _rewrite(table, 0, w.letters)
     if final != 0:
         raise ValueError("word is not a member of the subgroup")
     return coords
@@ -448,7 +422,7 @@ def _relation_rows(table: CosetTable) -> list[array]:
     rows = []
     for c in range(table.size):
         for rel in relators:
-            coords, final = _rewrite(table, c, rel)
+            coords, final = _rewrite(table, c, rel.letters)
             if final != c:
                 raise RuntimeError("relator does not fix a coset; table bug")
             rows.append(_dense_bytes(coords, degree))
@@ -492,7 +466,10 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     """Matrix of conjugation by a braid word on the subgroup abelianization.
 
     Each Schreier generator s maps to the rewritten coordinates theta(s) of
-    w^-1 s w.  Of that coordinate matrix conjugated into the Smith basis,
+    w^-1 s w.  Rewritten from coset 1, the w suffix walks back along the edges
+    of the w^-1 prefix and cancels its coordinates, so theta(s) is s rewritten
+    from the coset x that w^-1 reaches; s returns to x, since the subgroup is
+    normal.  Of that coordinate matrix conjugated into the Smith basis,
     R^-1 theta R, only the columns read are formed, as R^-1 (theta R[:, wanted])
     over sparse rows: the free columns, which give the free block and the
     check that the relation lattice is preserved, and the torsion columns,
@@ -511,7 +488,7 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     for j, t in enumerate(wanted):
         for k, x in ab.right_columns[t].items():
             right_wanted[k][j] = x
-    head = tuple(-x for x in reversed(w.letters))
+    start = table.trace(1, w.inverse()) - 1
     backs = [tuple(-x for x in reversed(tau)) for tau in table.transversals]
     # theta R[:, wanted], one row per Schreier generator
     # s = tau_c sigma_i tau_(c sigma_i)^-1
@@ -519,8 +496,7 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     for c, tau in enumerate(table.transversals):
         for i in range(1, n):
             back = backs[table.action[c][(i - 1) * 2]]
-            word = BraidWord(n, head + tau + (i,) + back + w.letters)
-            coords = subgroup_coordinates(table, word)
+            coords, _ = _rewrite(table, start, tau + (i,) + back)
             theta_right.append(matrices.sparse_combination(coords, right_wanted))
     conjugated = [
         matrices.sparse_combination(row, theta_right) for row in ab.right_inverse_rows

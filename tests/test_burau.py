@@ -285,6 +285,33 @@ def test_transvection_model_agreement():
         assert check_transvection_model(n, m, samples=50, seed=603)
 
 
+def _chain_product_mod(w, m):
+    # oracle: one full matrix product per transvection generator
+    out = identity(w.n - 1)
+    for k in w.letters:
+        g = transvection_generator(w.n, abs(k), 1 if k > 0 else -1)
+        out = tuple(tuple(x % m for x in row) for row in mat_mul(out, g))
+    return out
+
+
+def test_chain_matrix_matches_the_transvection_product():
+    for n in (3, 5, 7):
+        for m in (2, 3, 7):
+            for i in range(1, n):
+                for sign in (1, -1):
+                    expect = tuple(
+                        tuple(x % m for x in row)
+                        for row in transvection_generator(n, i, sign)
+                    )
+                    assert burau._chain_matrix_mod(BraidWord(n, (sign * i,)), m) == expect
+    rng = Random(604)
+    for n in (3, 5, 7):
+        for _ in range(40):
+            m = rng.randint(2, 12)
+            w = random_word(rng, n, 30)
+            assert burau._chain_matrix_mod(w, m) == _chain_product_mod(w, m)
+
+
 def test_transvection_model_rejects_bad_input():
     with pytest.raises(ValueError):
         check_transvection_model(4, 3)

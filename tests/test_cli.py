@@ -228,6 +228,28 @@ def test_verify_flags_override_the_config_file(capsys, tmp_path):
     capsys.readouterr()
 
 
+def test_verify_settings_are_checked_alike_by_both_routes(capsys, tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    cfg.write_text("seed = 0\nclaims = c03\n")
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--config", str(cfg), "--json", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["meta"]["seed"] == 0
+    assert data["claims"][0]["seed"] == "0:c03"
+    assert main(["verify", "--claims", "c03", "--seed", "0"]) == 0
+    capsys.readouterr()
+    for argv in (["verify", "--cap", "0"], ["verify", "--config", str(cfg), "--cap", "-1"]):
+        assert main(argv) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "element_cap must be positive" in printed.err
+    cfg.write_text("coset_cap = 0\n")
+    assert main(["verify", "--config", str(cfg)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert "coset_cap must be positive" in printed.err
+
+
 def test_strand_counts_below_two_exit_two(capsys):
     assert main(["image", "--n", "-3", "--m", "3", "--center"]) == 2
     assert main(["abelianization", "--n", "0", "--m", "2"]) == 2

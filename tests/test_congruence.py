@@ -13,9 +13,7 @@ from braidcong.congruence import (
     artin_relators,
     conjugation_action,
     coset_table,
-    decode_matrix,
     divisibility_check,
-    encode_matrix,
     enumerate_image,
     image_center,
     is_member,
@@ -72,15 +70,6 @@ def test_level_two_is_purity():
         assert is_member(w, 2) == permutation(w).is_identity()
 
 
-def test_matrix_encoding_round_trip():
-    rng = Random(702)
-    for _ in range(40):
-        n = rng.randint(3, 6)
-        m = rng.randint(2, 300)
-        a = burau_matrix_mod(random_word(rng, n, 15), m)
-        assert decode_matrix(encode_matrix(a), n, m) == a
-
-
 def test_letter_order():
     assert letter_order(3) == (1, -1, 2, -2)
     assert letter_order(4) == (1, -1, 2, -2, 3, -3)
@@ -90,7 +79,8 @@ def test_enumeration_golden_numbering():
     """The breadth-first numbering is part of the contract; pin it."""
     g = enumerate_image(3, 2)
     assert g.letters == (1, -1, 2, -2)
-    assert tuple(e.hex() for e in g.elements) == GOLDEN_32_ELEMENTS
+    flat = (bytes(x for row in g.matrix(k).entries for x in row) for k in range(g.size))
+    assert tuple(e.hex() for e in flat) == GOLDEN_32_ELEMENTS
     assert g.edges[0] == (1, 1, 2, 2)
 
 
@@ -235,6 +225,19 @@ def test_coset_table_layout():
     assert t.apply(1, 1) == 2
     assert t.apply(1, 2) == 3
     assert t.apply(2, -1) == 1
+
+
+def test_coset_numbers_outside_the_table_are_rejected():
+    t = coset_table(3, 2)
+    for coset in (0, -1, 7):
+        for call in (
+            lambda: t.apply(coset, 1),
+            lambda: t.trace(coset, BraidWord(3, (1, 2))),
+            lambda: t.trace(coset, BraidWord(3)),
+            lambda: t.transversal(coset),
+        ):
+            with pytest.raises(ValueError, match=r"out of range 1\.\.6"):
+                call()
 
 
 def test_coset_table_transversals_reach_their_cosets():
