@@ -5,135 +5,27 @@ membership in level-m congruence subgroups, computes their abelianizations
 by coset enumeration and Smith normal form, and provides a normal-form
 calculus for the crystallographic quotient of the braid group by the
 commutator subgroup of the pure braid group.
+
+Each module's __all__ lists the public names it defines; the package
+re-exports exactly those lists.
 """
 
 __version__ = "0.1.0"
 
-from .words import (
-    BraidWord,
-    LinkingVector,
-    PairIndex,
-    Permutation,
-    conjugated_generator_class,
-    full_twist,
-    linking_vector,
-    pair_action,
-    pair_count,
-    pair_list,
-    pair_position,
-    permutation,
-    pure_generator,
-    random_pure_word,
-    random_word,
-    torelli_chain,
-)
-from .burau import (
-    InvariantFormWitness,
-    ModularMatrix,
-    alternating_covector,
-    burau_matrix,
-    burau_matrix_mod,
-    check_transvection_model,
-    generator_matrix,
-    invariant_form,
-    ones_vector,
-    order_mod,
-    transvection_generator,
-)
-from .smith import SmithForm, kernel_basis, smith_normal_form, solve_integer
-from .congruence import (
-    AbelianizationResult,
-    ActionMatrix,
-    CosetTable,
-    ImageGroup,
-    LimitExceeded,
-    abelianization,
-    artin_relators,
-    conjugation_action,
-    coset_table,
-    divisibility_check,
-    enumerate_image,
-    image_center,
-    is_member,
-    subgroup_coordinates,
-)
-from .cryst import (
-    CrystElement,
-    element_order,
-    holonomy_faithful,
-    in_power_image,
-    normal_form,
-    pair_permutation_matrix,
-    power_endomorphism,
-    power_map_is_homomorphism,
-    power_quotient_class,
-    representative_word,
-    section_word,
-    torsion_search,
-)
-from .claims import ClaimResult, SuiteConfig, VerificationReport, run_suite
+from . import burau, claims, congruence, cryst, smith, words
+from .words import *  # noqa: F401,F403
+from .burau import *  # noqa: F401,F403
+from .smith import *  # noqa: F401,F403
+from .congruence import *  # noqa: F401,F403
+from .cryst import *  # noqa: F401,F403
+from .claims import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    "BraidWord",
-    "LinkingVector",
-    "PairIndex",
-    "Permutation",
-    "conjugated_generator_class",
-    "full_twist",
-    "linking_vector",
-    "pair_action",
-    "pair_count",
-    "pair_list",
-    "pair_position",
-    "permutation",
-    "pure_generator",
-    "random_pure_word",
-    "random_word",
-    "torelli_chain",
-    "InvariantFormWitness",
-    "ModularMatrix",
-    "alternating_covector",
-    "burau_matrix",
-    "burau_matrix_mod",
-    "check_transvection_model",
-    "generator_matrix",
-    "invariant_form",
-    "ones_vector",
-    "order_mod",
-    "transvection_generator",
-    "SmithForm",
-    "kernel_basis",
-    "smith_normal_form",
-    "solve_integer",
-    "AbelianizationResult",
-    "ActionMatrix",
-    "CosetTable",
-    "ImageGroup",
-    "LimitExceeded",
-    "abelianization",
-    "artin_relators",
-    "conjugation_action",
-    "coset_table",
-    "divisibility_check",
-    "enumerate_image",
-    "image_center",
-    "is_member",
-    "subgroup_coordinates",
-    "CrystElement",
-    "element_order",
-    "holonomy_faithful",
-    "in_power_image",
-    "normal_form",
-    "pair_permutation_matrix",
-    "power_endomorphism",
-    "power_map_is_homomorphism",
-    "power_quotient_class",
-    "representative_word",
-    "section_word",
-    "torsion_search",
-    "ClaimResult",
-    "SuiteConfig",
-    "VerificationReport",
-    "run_suite",
+    *words.__all__,
+    *burau.__all__,
+    *smith.__all__,
+    *congruence.__all__,
+    *cryst.__all__,
+    *claims.__all__,
 ]

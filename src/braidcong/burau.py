@@ -363,6 +363,18 @@ def _chain_matrix_mod(w: BraidWord, m: int) -> IntMatrix:
     return tuple(map(tuple, out))
 
 
+def _conjugated_powers(rng: Random, n: int, k: int) -> BraidWord:
+    # a product of one to three conjugates of a signed k-th generator power,
+    # so a member of the level-k subgroup
+    w = BraidWord(n)
+    for _ in range(rng.randint(1, 3)):
+        conj = random_word(rng, n, 6)
+        i = rng.randint(1, n - 1)
+        power = BraidWord(n, (rng.choice((1, -1)) * i,) * k)
+        w = w * conj * power * conj.inverse()
+    return w
+
+
 def check_transvection_model(n: int, m: int, samples: int = 200, seed: int = 0) -> bool:
     """Compare mod-m kernel membership across the two models on random words.
 
@@ -380,12 +392,7 @@ def check_transvection_model(n: int, m: int, samples: int = 200, seed: int = 0) 
         if t % 2 == 0:
             w = random_word(rng, n, 25)
         else:
-            w = BraidWord(n)
-            for _ in range(rng.randint(1, 3)):
-                conj = random_word(rng, n, 6)
-                i = rng.randint(1, n - 1)
-                power = BraidWord(n, (rng.choice((1, -1)) * i,) * m)
-                w = w * conj * power * conj.inverse()
+            w = _conjugated_powers(rng, n, m)
         in_full = burau_matrix_mod(w, m).is_identity()
         in_chain = _chain_matrix_mod(w, m) == tuple(
             tuple(x % m for x in row) for row in identity

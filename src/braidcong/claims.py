@@ -52,6 +52,8 @@ from .words import (
     torelli_chain,
 )
 
+__all__ = ["SuiteConfig", "ClaimResult", "VerificationReport", "run_suite"]
+
 
 @dataclass(frozen=True)
 class SuiteConfig:

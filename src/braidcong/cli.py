@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 claim failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -263,7 +264,7 @@ def _claim_list(text: str) -> tuple[str, ...]:
 
 
 def _parse_config_file(path: str) -> dict:
-    allowed = {"seed", "claims", "element_cap", "coset_cap"}
+    allowed = {f.name for f in dataclasses.fields(SuiteConfig)}
     values: dict = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):

@@ -18,9 +18,9 @@ from random import Random
 from . import matrices
 # mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
 from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
-from .burau import ModularMatrix, _apply_letter, burau_matrix_mod
+from .burau import ModularMatrix, _apply_letter, _conjugated_powers, burau_matrix_mod
 from .smith import smith_normal_form
-from .words import BraidWord, check_strand_count, random_word
+from .words import BraidWord, check_strand_count
 
 __all__ = [
     "LimitExceeded",
@@ -97,7 +97,6 @@ class ImageGroup:
     letters: tuple[int, ...]
     elements: tuple[tuple[int, ...], ...]
     edges: tuple[tuple[int, ...], ...]
-    generator_images: tuple[ModularMatrix, ...] = field(compare=False)
     parents: tuple[tuple[int, int] | None, ...] = field(compare=False, repr=False)
     rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     row_images: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
@@ -139,7 +138,6 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     if element_cap < 1:
         raise ValueError(f"element cap must be positive, got {element_cap}")
     letters = letter_order(n)
-    gens = tuple(burau_matrix_mod(BraidWord(n, (l,)), m) for l in letters)
     rows = list(ModularMatrix.identity(n, m).entries)
     row_index = {r: k for k, r in enumerate(rows)}
     tables: list[list[int]] = [[] for _ in letters]
@@ -186,7 +184,6 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
         letters=letters,
         elements=tuple(states),
         edges=tuple(edges),
-        generator_images=gens,
         parents=tuple(parents),
         rows=tuple(rows),
         row_images=tuple(map(tuple, tables)),
@@ -257,6 +254,8 @@ class CosetTable:
         return self.action[coset - 1][self._letter_pos(letter)] + 1
 
     def trace(self, coset: int, w: BraidWord) -> int:
+        if w.n != self.n:
+            raise ValueError(f"strand count mismatch: {w.n} vs {self.n}")
         self._check_coset(coset)
         x = coset - 1
         for letter in w.letters:
@@ -321,6 +320,8 @@ def subgroup_coordinates(table: CosetTable, w: BraidWord) -> SparseVector:
     counts the generator of 0-based coset c and braid index i.  Raises when
     the word is not in the subgroup.
     """
+    if w.n != table.n:
+        raise ValueError(f"strand count mismatch: {w.n} vs {table.n}")
     coords, final = _rewrite(table, 0, w.letters)
     if final != 0:
         raise ValueError("word is not a member of the subgroup")
@@ -523,12 +524,7 @@ def divisibility_check(n: int, m: int, k: int, samples: int, seed: int = 0) -> b
         raise ValueError(f"need m >= 2 dividing k, got m={m}, k={k}")
     rng = Random(seed)
     for _ in range(samples):
-        w = BraidWord(n)
-        for _ in range(rng.randint(1, 3)):
-            conj = random_word(rng, n, 6)
-            i = rng.randint(1, n - 1)
-            power = BraidWord(n, (rng.choice((1, -1)) * i,) * k)
-            w = w * conj * power * conj.inverse()
+        w = _conjugated_powers(rng, n, k)
         if not is_member(w, k):
             raise RuntimeError("synthesized word left the level-k subgroup; bug")
         if not is_member(w, m):

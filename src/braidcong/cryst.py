@@ -297,6 +297,8 @@ def power_quotient_class(n: int, m: int, a: CrystElement) -> tuple[int, ...]:
     class(a * b) = class(a) + class(b), is guaranteed only when b is a
     lattice element (its permutation is the identity).
     """
+    if a.n != n:
+        raise ValueError(f"strand count mismatch: {a.n} vs {n}")
     _require_odd(m)
     diff = a.vec - _power_offset(n, m, a.perm)
     return tuple(x % m for x in diff.coords)

@@ -31,12 +31,6 @@ def mat_vec(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
-def vec_mat(v: tuple[int, ...], a: IntMatrix) -> tuple[int, ...]:
-    if len(v) != len(a):
-        raise ValueError(f"length mismatch: {len(v)} entries vs {len(a)} rows")
-    return tuple(sum(v[r] * a[r][c] for r in range(len(v))) for c in range(len(a[0])))
-
-
 def sparse(row: Sequence[int]) -> SparseVector:
     """The nonzero entries of a dense row, by position."""
     return dict(compress(enumerate(row), row))
@@ -71,19 +65,6 @@ def is_identity(a: IntMatrix) -> bool:
     return all(
         a[r][c] == (1 if r == c else 0) for r in range(len(a)) for c in range(len(a[0]))
     )
-
-
-def mat_pow(a: IntMatrix, k: int) -> IntMatrix:
-    if k < 0:
-        raise ValueError("negative matrix power not supported")
-    out = identity(len(a))
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base) if k > 1 else base
-        k >>= 1
-    return out
 
 
 def determinant(a: IntMatrix) -> int:

@@ -20,6 +20,8 @@ from .matrices import (
     sparse_combination,
 )
 
+__all__ = ["SmithForm", "smith_normal_form", "solve_integer", "kernel_basis"]
+
 
 @dataclass(frozen=True)
 class SmithForm:

@@ -13,6 +13,25 @@ import math
 from dataclasses import dataclass
 from random import Random
 
+__all__ = [
+    "BraidWord",
+    "Permutation",
+    "PairIndex",
+    "pair_count",
+    "pair_list",
+    "pair_position",
+    "pair_action",
+    "LinkingVector",
+    "permutation",
+    "pure_generator",
+    "full_twist",
+    "torelli_chain",
+    "linking_vector",
+    "conjugated_generator_class",
+    "random_word",
+    "random_pure_word",
+]
+
 
 def check_strand_count(n: int) -> None:
     if n < 2:

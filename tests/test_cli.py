@@ -261,7 +261,10 @@ def test_verify_config_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 1\n")
     assert main(["verify", "--config", str(cfg)]) == 2
-    assert "unknown config key" in capsys.readouterr().err
+    assert (
+        "bad.cfg:1: unknown config key 'n' (allowed: claims, coset_cap, element_cap, seed)"
+        in capsys.readouterr().err
+    )
 
 
 def test_verify_config_rejects_bad_values(capsys, tmp_path):

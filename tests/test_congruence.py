@@ -128,9 +128,10 @@ def test_capped_enumeration_does_bounded_row_work(monkeypatch):
 
 def test_enumeration_is_closed_under_generators():
     g = enumerate_image(3, 3)
+    gens = [burau_matrix_mod(BraidWord(3, (letter,)), 3) for letter in g.letters]
     for k, edges in enumerate(g.edges):
         for pos, target in enumerate(edges):
-            expect = g.matrix(k) * g.generator_images[pos]
+            expect = g.matrix(k) * gens[pos]
             assert g.matrix(target) == expect
 
 
@@ -168,11 +169,12 @@ def test_image_search_agrees_with_modular_matrix_products(n, m):
     g = enumerate_image(n, m)
     table = coset_table(n, m)
     mats = [g.matrix(k) for k in range(g.size)]
+    gens = [burau_matrix_mod(BraidWord(n, (letter,)), m) for letter in g.letters]
     for k in range(g.size):
         assert mats[k] == burau_matrix_mod(table.transversal(k + 1), m)
         for pos, target in enumerate(g.edges[k]):
-            assert mats[target] == mats[k] * g.generator_images[pos]
-    positive = [x for l, x in zip(g.letters, g.generator_images) if l > 0]
+            assert mats[target] == mats[k] * gens[pos]
+    positive = [x for l, x in zip(g.letters, gens) if l > 0]
     brute = tuple(
         k for k, a in enumerate(mats) if all(a * x == x * a for x in positive)
     )
@@ -238,6 +240,15 @@ def test_coset_numbers_outside_the_table_are_rejected():
         ):
             with pytest.raises(ValueError, match=r"out of range 1\.\.6"):
                 call()
+
+
+def test_coset_tables_reject_words_on_other_strand_counts():
+    t = coset_table(3, 2)
+    for w in (BraidWord(4, (1, 1)), BraidWord(4, (3, 3)), BraidWord(5, (1, 2))):
+        with pytest.raises(ValueError, match=f"strand count mismatch: {w.n} vs 3"):
+            t.trace(1, w)
+        with pytest.raises(ValueError, match=f"strand count mismatch: {w.n} vs 3"):
+            subgroup_coordinates(t, w)
 
 
 def test_coset_table_transversals_reach_their_cosets():

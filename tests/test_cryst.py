@@ -224,6 +224,14 @@ def test_power_image_membership():
         assert in_power_image(3, 3, power_endomorphism(3, 3, x))
 
 
+def test_power_classes_reject_elements_on_other_strand_counts():
+    a = normal_form(BraidWord(3, (1,)))
+    with pytest.raises(ValueError, match="strand count mismatch: 3 vs 5"):
+        power_quotient_class(5, 3, a)
+    with pytest.raises(ValueError, match="strand count mismatch: 3 vs 7"):
+        in_power_image(7, 3, a)
+
+
 def test_power_injectivity_on_samples():
     rng = Random(808)
     for _ in range(150):
