@@ -3,18 +3,19 @@
 The quotient of the braid group by the commutator subgroup of the pure braid
 group has a complete normal form: a permutation together with an integer
 vector over strand pairs (the image of the pure part in the pair lattice).
-normal_form reads that pair off any braid word.
+normal_form reads that pair off any braid word in one walk over its letters.
 
 Elements multiply by the closed form of the group law,
 
     vec(a * b) = vec(a).permuted(perm b) + vec(b) + c(perm a, perm b),
 
-where the cocycle c(s, t) is the vector of normal_form(section_word(s) *
-section_word(t)), a word of at most n(n-1) letters.  A product, an inverse
-or a power (by squaring) therefore costs O(n^2) arithmetic steps whatever the
-size of the coordinates.  The word path, normalizing the product of
-representative words, stays as the independent check: verify claim c12
-compares the closed form with it, and so do the tests.
+where the cocycle c(s, t), the vector of the product of the section classes
+of s and t, is 1 at the image under s * t of each pair that s inverts and t
+inverts again, and 0 elsewhere.  A product, an inverse or a power (by
+squaring) therefore costs O(n^2) arithmetic steps whatever the size of the
+coordinates.  The word path, normalizing the product of representative
+words, stays as the independent check: verify claim c12 compares the closed
+form with it, and so do the tests.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from .words import (
     BraidWord,
     LinkingVector,
     Permutation,
+    _position,
     all_permutations,
     check_strand_count,
-    linking_vector,
     pair_action,
     pair_count,
     pair_list,
-    permutation,
     pure_generator,
 )
 
@@ -128,19 +128,61 @@ class CrystElement:
         return self.perm.is_identity() and self.vec.is_zero()
 
 
+def _inversions(perm: Permutation) -> list[tuple[int, int]]:
+    """The image pairs (perm(i), perm(j)) of the pairs i < j that perm inverts.
+
+    The section word of perm crosses exactly these pairs of strands, once each
+    and positively.
+    """
+    img = perm.images
+    n = len(img)
+    return [(img[i], img[j]) for i in range(n) for j in range(i + 1, n) if img[i] > img[j]]
+
+
 def normal_form(w: BraidWord) -> CrystElement:
-    """Normal form of a braid word in the crystallographic quotient."""
-    perm = permutation(w)
-    section = section_word(perm)
-    if permutation(section) != perm:
-        raise RuntimeError("section lift has the wrong permutation; internal bug")
-    vec = linking_vector(section.inverse() * w)
-    return CrystElement(w.n, perm, vec)
+    """Normal form of a braid word in the crystallographic quotient.
+
+    The vector is the linking vector of section_word(perm)^-1 * w, read off
+    one walk over w that counts the signed crossings of each pair of strands.
+    The section crosses each pair perm inverts once, positively; less that
+    crossing, a pair's count is even, and its half sits at the coordinate of
+    the pair's final positions.
+    """
+    n = w.n
+    seats = list(range(n))
+    counts = [0] * (n * n)  # by (strand on the left, strand on the right)
+    for k in w.letters:
+        i = abs(k)
+        a, b = seats[i - 1], seats[i]
+        counts[a * n + b] += 1 if k > 0 else -1
+        seats[i - 1], seats[i] = b, a
+    images = [0] * n
+    for pos, strand in enumerate(seats, start=1):
+        images[strand] = pos
+    coords = [0] * pair_count(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            p, q = images[i], images[j]
+            c = counts[i * n + j] + counts[j * n + i] - (p > q)
+            if c % 2:
+                raise RuntimeError("odd crossing count off the section; internal bug")
+            coords[_position(n, p, q)] = c // 2
+    return CrystElement(n, Permutation(tuple(images)), LinkingVector(n, tuple(coords)))
 
 
 def _cocycle(s: Permutation, t: Permutation) -> LinkingVector:
-    """Vector part of the product of the section classes of s and t."""
-    return normal_form(section_word(s) * section_word(t)).vec
+    """Vector part of the product of the section classes of s and t.
+
+    A pair of strands links once, at its image under s * t, when both section
+    words cross it: s inverts the pair and t inverts its image.  No other
+    pair links.
+    """
+    n = s.n
+    coords = [0] * pair_count(n)
+    for a, b in _inversions(s):
+        if t(a) < t(b):
+            coords[_position(n, t(a), t(b))] = 1
+    return LinkingVector(n, tuple(coords))
 
 
 def representative_word(a: CrystElement) -> BraidWord:
@@ -200,6 +242,7 @@ def torsion_search(n: int, k: int) -> CrystElement | None:
     conjugacy class, so a cycle type refused once is not tried again;
     permutations are tried in the order all_permutations gives them.
     """
+    check_strand_count(n)
     if k < 2:
         raise ValueError(f"order must be at least 2, got {k}")
     refused: set[tuple[int, ...]] = set()
@@ -228,7 +271,9 @@ def power_endomorphism(n: int, m: int, a: CrystElement) -> CrystElement:
 
         power_endomorphism(a) = (perm a, offset(perm a) + m * vec a),
 
-    with the offset read from the letter-wise m-th power of the section word.
+    where the offset, the vector of the m-th power image of the section class,
+    is (m - 1) / 2 at the image of each pair the permutation inverts: the
+    section word crosses such a pair once, its letter-wise m-th power m times.
     """
     if a.n != n:
         raise ValueError(f"strand count mismatch: {a.n} vs {n}")
@@ -254,6 +299,7 @@ def power_map_is_homomorphism(n: int, m: int) -> bool:
     True for every odd m; genuinely false for even m (and this check shows
     it), which is why power_endomorphism refuses even m.
     """
+    check_strand_count(n)
     if m < 1:
         raise ValueError(f"power must be positive, got {m}")
     relations = [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
@@ -265,8 +311,13 @@ def power_map_is_homomorphism(n: int, m: int) -> bool:
 
 
 def _power_offset(n: int, m: int, perm: Permutation) -> LinkingVector:
-    # vector part of the power image of the section class of perm
-    return _letterwise_power(section_word(perm), m).vec
+    # vector part of the power image of the section class of perm: a pair the
+    # section crosses once is crossed m times; less the section's crossing,
+    # it links (m - 1) / 2 times
+    coords = [0] * pair_count(n)
+    for a, b in _inversions(perm):
+        coords[_position(n, a, b)] = (m - 1) // 2
+    return LinkingVector(n, tuple(coords))
 
 
 def in_power_image(n: int, m: int, a: CrystElement) -> bool:
@@ -310,6 +361,7 @@ def power_map_scales_lattice(n: int, m: int) -> bool:
     Checked on words (each letter of the pure generator word repeated m
     times), not through power_endomorphism, which assumes this scaling.
     """
+    check_strand_count(n)
     return all(
         _letterwise_power(pure_generator(n, p.i, p.j), m)
         == CrystElement.lattice(LinkingVector.unit(n, p.i, p.j).scaled(m))

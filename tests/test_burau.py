@@ -25,7 +25,7 @@ from braidcong.matrices import (
     mat_vec,
     transpose,
 )
-from braidcong.words import BraidWord, full_twist, pair_list, random_word
+from braidcong.words import BraidWord, full_twist, random_word
 
 
 def test_generator_matrix_blocks():

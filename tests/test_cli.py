@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from braidcong.cli import WordParseError, format_word, main, parse_word
-from braidcong.words import BraidWord, random_word
+from braidcong.words import random_word
 
 
 def test_parse_word_grammar():
@@ -154,6 +154,11 @@ def test_cryst_quotient_check_command(capsys, tmp_path):
     assert data["lattice_scaling"] is True
     assert data["additive_failures"] > 0
     assert data["status"] == "fail"
+
+
+def test_cryst_quotient_check_rejects_strand_counts_below_two(capsys):
+    assert main(["cryst", "quotient-check", "--n", "1", "--m", "3"]) == 2
+    assert capsys.readouterr().err == "error: strand count must be at least 2, got 1\n"
 
 
 def test_cryst_quotient_check_report_is_pinned(capsys, tmp_path):

@@ -6,6 +6,9 @@ import pytest
 
 from braidcong.cryst import (
     CrystElement,
+    _cocycle,
+    _letterwise_power,
+    _power_offset,
     element_order,
     holonomy_faithful,
     in_power_image,
@@ -13,6 +16,7 @@ from braidcong.cryst import (
     pair_permutation_matrix,
     power_endomorphism,
     power_map_is_homomorphism,
+    power_map_scales_lattice,
     power_quotient_class,
     representative_word,
     section_word,
@@ -169,6 +173,17 @@ def test_torsion_search():
     assert torsion_search(5, 2) is None
     with pytest.raises(ValueError):
         torsion_search(3, 1)
+
+
+@pytest.mark.parametrize("n", [1, 0])
+def test_strand_counts_below_two_are_rejected(n):
+    message = f"strand count must be at least 2, got {n}"
+    with pytest.raises(ValueError, match=message):
+        torsion_search(n, 2)
+    with pytest.raises(ValueError, match=message):
+        power_map_is_homomorphism(n, 3)
+    with pytest.raises(ValueError, match=message):
+        power_map_scales_lattice(n, 3)
 
 
 def test_power_map_relations():
@@ -404,3 +419,42 @@ def test_orders_of_conjugates_with_huge_coordinates():
             assert (conjugate**k).is_identity()
             assert element_order(lattice) is None
             assert element_order(t * lattice) is None
+
+
+# The three-walk word path, oracle of the closed forms: the permutation of w,
+# then the linking vector of the section's inverse times w.
+
+
+def _reference_normal_form(w: BraidWord) -> CrystElement:
+    perm = permutation(w)
+    return CrystElement(w.n, perm, linking_vector(section_word(perm).inverse() * w))
+
+
+def test_normal_form_matches_the_three_walk_path():
+    rng = Random(818)
+    checked = 0
+    for n in range(2, 10):
+        empty = BraidWord(n)
+        assert normal_form(empty) == _reference_normal_form(empty) == CrystElement.identity(n)
+        for _ in range(640):
+            w = random_word(rng, n, 30)
+            assert normal_form(w) == _reference_normal_form(w), w
+            checked += 1
+    assert checked == 5120
+
+
+def test_cocycle_matches_the_section_word_product():
+    for n in range(2, 6):
+        perms = list(all_permutations(n))
+        for s in perms:
+            for t in perms:
+                product = section_word(s) * section_word(t)
+                assert _cocycle(s, t) == _reference_normal_form(product).vec, (s, t)
+
+
+def test_power_offset_matches_the_letterwise_power():
+    for n in range(2, 7):
+        for perm in all_permutations(n):
+            section = section_word(perm)
+            for m in (1, 3, 5, 7, 9):
+                assert _power_offset(n, m, perm) == _letterwise_power(section, m).vec, (perm, m)

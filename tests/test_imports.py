@@ -1,0 +1,93 @@
+"""Every imported name in the package and its tests is used.
+
+A stdlib-only stand-in for a linter's unused-import rule.  Skipped: imports
+from __future__, star imports, names the module lists in __all__, and
+imports on a line marked ``# noqa: F401`` (or a bare ``# noqa``).
+"""
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+FILES = sorted((ROOT / "src" / "braidcong").glob("*.py")) + sorted(
+    (ROOT / "tests").glob("*.py")
+)
+NOQA = re.compile(r"#\s*noqa(?::\s*(?P<codes>[A-Z0-9, ]+))?", re.IGNORECASE)
+
+
+def _noqa_f401(line: str) -> bool:
+    match = NOQA.search(line)
+    if match is None:
+        return False
+    codes = match.group("codes")
+    return codes is None or "F401" in codes.upper().replace(" ", "").split(",")
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                return {
+                    elt.value
+                    for elt in node.value.elts
+                    if isinstance(elt, ast.Constant) and isinstance(elt.value, str)
+                }
+    return set()
+
+
+def unused_imports(source: str) -> list[tuple[int, str]]:
+    """(line, name) of each imported name that the module never uses."""
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported: list[tuple[int, str]] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name == "*":
+                    continue
+                if _noqa_f401(lines[alias.lineno - 1]) or _noqa_f401(lines[node.lineno - 1]):
+                    continue
+                bound = alias.asname or alias.name.split(".")[0]
+                imported.append((alias.lineno, bound))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = _exported(tree)
+    return [(line, name) for line, name in imported if name not in used | exported]
+
+
+def test_checker_flags_only_unused_names():
+    source = (
+        "from __future__ import annotations\n"
+        "import os\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from math import pi, tau\n"
+        "from re import *\n"
+        "from sys import argv  # noqa: F401\n"
+        "from sys import (\n"
+        "    path,\n"
+        "    stdin,  # noqa: F401\n"
+        ")\n"
+        "from typing import Any  # noqa: F403\n"
+        "from string import digits\n"
+        "__all__ = ['digits']\n"
+        "print(j.dumps(pi))\n"
+    )
+    assert unused_imports(source) == [
+        (2, "os"),
+        (3, "os"),
+        (5, "tau"),
+        (9, "path"),
+        (12, "Any"),
+    ]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
