@@ -217,6 +217,8 @@ def _cmd_cryst_power(args: argparse.Namespace) -> int:
 def _cmd_cryst_quotient_check(args: argparse.Namespace) -> int:
     from random import Random
 
+    if args.samples < 1:
+        raise ValueError(f"samples must be positive, got {args.samples}")
     rng = Random(args.seed)
     n, m = args.n, args.m
     relations_hold = power_map_is_homomorphism(n, m)

@@ -1,10 +1,10 @@
 """Level-m congruence subgroups: membership, finite images, abelianizations.
 
-The level-m subgroup is the kernel of the mod-m representation.  Its index in
-the braid group is the order of the finite matrix image, so cosets are
-enumerated by a breadth-first walk over image matrices.  Subgroup
-abelianizations come from Schreier rewriting of the Artin relators against
-the coset table, followed by an integer Smith normal form.
+The level-m subgroup is the kernel of the mod-m representation, so its cosets
+are the elements of the finite matrix image, and the breadth-first walk over
+image matrices is its coset table, with its search tree as the transversal.
+Subgroup abelianizations come from Schreier rewriting of the Artin relators
+against that table, followed by an integer Smith normal form.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .words import BraidWord, check_strand_count
 __all__ = [
     "LimitExceeded",
     "ImageGroup",
-    "CosetTable",
     "AbelianizationResult",
     "ActionMatrix",
     "is_member",
@@ -45,8 +44,8 @@ class LimitExceeded(RuntimeError):
     """An enumeration or table size cap was hit.
 
     Carries the partial size and the stage that hit its cap: "image" for the
-    element cap of enumerate_image, "coset" for the coset cap of
-    abelianization.
+    element cap of enumerate_image and coset_table, "coset" for the coset cap
+    of abelianization.
     """
 
     def __init__(
@@ -65,6 +64,11 @@ def is_member(w: BraidWord, m: int) -> bool:
 def letter_order(n: int) -> tuple[int, ...]:
     """The fixed letter scan order: each index, positive sign before negative."""
     return tuple(s * i for i in range(1, n) for s in (1, -1))
+
+
+def _letter_pos(letter: int) -> int:
+    # the column of a letter in letter_order, and so in ImageGroup.edges
+    return 2 * abs(letter) - (2 if letter > 0 else 1)
 
 
 def _row_letter(row: tuple[int, ...], letter: int, m: int) -> tuple[int, ...]:
@@ -90,6 +94,9 @@ class ImageGroup:
     numbers of element k; row_images[t][r] is the number of rows[r] times
     letter letters[t].  The tables cover every row of every element, but not
     the rows met only as images.
+
+    The elements are the cosets of the level-m subgroup: coset c is element
+    c - 1, and apply, trace and transversal take 1-based coset numbers.
     """
 
     n: int
@@ -123,6 +130,39 @@ class ImageGroup:
         if k is None:
             raise KeyError("matrix is not in the enumerated image")
         return k
+
+    @cached_property
+    def transversals(self) -> tuple[tuple[int, ...], ...]:
+        # the tree word of every element, read off the parents on first use
+        words: list[tuple[int, ...]] = [()] * self.size
+        for k, (parent, letter) in enumerate(self.parents[1:], start=1):
+            words[k] = words[parent] + (letter,)
+        return tuple(words)
+
+    def _check_coset(self, coset: int) -> None:
+        if not 1 <= coset <= self.size:
+            raise ValueError(f"coset {coset} out of range 1..{self.size}")
+
+    def apply(self, coset: int, letter: int) -> int:
+        """Right action of one letter on a 1-based coset number."""
+        self._check_coset(coset)
+        if letter == 0 or abs(letter) >= self.n:
+            raise ValueError(f"letter {letter} out of range for {self.n} strands")
+        return self.edges[coset - 1][_letter_pos(letter)] + 1
+
+    def trace(self, coset: int, w: BraidWord) -> int:
+        if w.n != self.n:
+            raise ValueError(f"strand count mismatch: {w.n} vs {self.n}")
+        self._check_coset(coset)
+        x = coset - 1
+        for letter in w.letters:
+            x = self.edges[x][_letter_pos(letter)]
+        return x + 1
+
+    def transversal(self, coset: int) -> BraidWord:
+        """The tree word carrying coset 1 to the given coset."""
+        self._check_coset(coset)
+        return BraidWord(self.n, self.transversals[coset - 1])
 
 
 def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
@@ -220,67 +260,10 @@ def image_center(group: ImageGroup) -> tuple[int, ...]:
     return tuple(central)
 
 
-@dataclass(frozen=True)
-class CosetTable:
-    """Cosets of the level-m subgroup, numbered 1..N with coset 1 the subgroup.
-
-    Arrays are stored 0-based internally; the public methods take and return
-    1-based coset numbers.  Transversal words form a breadth-first tree with
-    the shortlex tie-break of letter_order (positive sign before negative).
-    """
-
-    n: int
-    m: int
-    letters: tuple[int, ...]
-    action: tuple[tuple[int, ...], ...]
-    transversals: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.action)
-
-    def _letter_pos(self, letter: int) -> int:
-        if letter == 0 or abs(letter) >= self.n:
-            raise ValueError(f"letter {letter} out of range for {self.n} strands")
-        return (abs(letter) - 1) * 2 + (0 if letter > 0 else 1)
-
-    def _check_coset(self, coset: int) -> None:
-        if not 1 <= coset <= self.size:
-            raise ValueError(f"coset {coset} out of range 1..{self.size}")
-
-    def apply(self, coset: int, letter: int) -> int:
-        """Right action of one letter on a 1-based coset number."""
-        self._check_coset(coset)
-        return self.action[coset - 1][self._letter_pos(letter)] + 1
-
-    def trace(self, coset: int, w: BraidWord) -> int:
-        if w.n != self.n:
-            raise ValueError(f"strand count mismatch: {w.n} vs {self.n}")
-        self._check_coset(coset)
-        x = coset - 1
-        for letter in w.letters:
-            x = self.action[x][self._letter_pos(letter)]
-        return x + 1
-
-    def transversal(self, coset: int) -> BraidWord:
-        """The tree word carrying coset 1 to the given coset."""
-        self._check_coset(coset)
-        return BraidWord(self.n, self.transversals[coset - 1])
-
-
-def coset_table(n: int, m: int, element_cap: int = 10**6) -> CosetTable:
-    """Coset table of the level-m subgroup via the enumerated image."""
-    group = enumerate_image(n, m, element_cap)
-    words: list[tuple[int, ...]] = [()] * group.size
-    for k, parent in enumerate(group.parents[1:], start=1):
-        words[k] = words[parent[0]] + (parent[1],)
-    return CosetTable(
-        n=n,
-        m=m,
-        letters=group.letters,
-        action=group.edges,
-        transversals=tuple(words),
-    )
+def coset_table(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
+    """Coset table of the level-m subgroup: the enumerated image itself."""
+    # not an alias: perfbench/tracing.py wraps by identity, so one would merge layers
+    return enumerate_image(n, m, element_cap)
 
 
 def artin_relators(n: int) -> tuple[BraidWord, ...]:
@@ -294,26 +277,26 @@ def artin_relators(n: int) -> tuple[BraidWord, ...]:
     return tuple(rels)
 
 
-def _rewrite(table: CosetTable, start: int, letters: Sequence[int]) -> tuple[SparseVector, int]:
+def _rewrite(table: ImageGroup, start: int, letters: Sequence[int]) -> tuple[SparseVector, int]:
     # Schreier rewriting: walk the letters from a 0-based coset, summing one
     # exponent per (coset, generator index) coordinate; returns the nonzero
     # sums and the final coset
-    n = table.n
+    n, edges = table.n, table.edges
     coords: SparseVector = {}
     x = start
     for letter in letters:
         if letter > 0:
             k = x * (n - 1) + letter - 1
             coords[k] = coords.get(k, 0) + 1
-            x = table.action[x][(letter - 1) * 2]
+            x = edges[x][_letter_pos(letter)]
         else:
-            x = table.action[x][(-letter - 1) * 2 + 1]
+            x = edges[x][_letter_pos(letter)]
             k = x * (n - 1) - letter - 1
             coords[k] = coords.get(k, 0) - 1
     return {k: e for k, e in coords.items() if e}, x
 
 
-def subgroup_coordinates(table: CosetTable, w: BraidWord) -> SparseVector:
+def subgroup_coordinates(table: ImageGroup, w: BraidWord) -> SparseVector:
     """Exponents of a subgroup member over the Schreier generators.
 
     Returns {coordinate: exponent} without zeros.  Coordinate c*(n-1) + (i-1)
@@ -342,7 +325,7 @@ class AbelianizationResult:
 
     n: int
     m: int
-    table: CosetTable
+    table: ImageGroup
     num_generators: int
     num_relations: int
     diagonal: tuple[int, ...]
@@ -371,25 +354,21 @@ class AbelianizationResult:
         )
 
 
-def abelianization(
-    n: int, m: int, coset_cap: int = 10_000, element_cap: int = 10**6
-) -> AbelianizationResult:
+def abelianization(n: int, m: int, coset_cap: int = 10_000) -> AbelianizationResult:
     """Abelianization of the level-m subgroup by Schreier rewriting plus SNF.
 
     Relation rows are the rewritten Artin relators traced from every coset,
     plus one unit row per tree edge; all of the Schreier generators are kept
     as columns and the Smith normal form absorbs the redundancy; its sparse
-    stage eliminates the tree-edge rows first.  Tables with more than
-    coset_cap cosets are refused as soon as the enumeration passes the cap;
-    pass a larger cap to override.
+    stage eliminates the tree-edge rows first.  The index is the image order,
+    so the enumeration stops as soon as it passes coset_cap; pass a larger cap
+    to override.
     """
     if coset_cap < 1:
         raise ValueError(f"coset cap must be positive, got {coset_cap}")
     try:
-        table = coset_table(n, m, min(element_cap, coset_cap))
+        table = coset_table(n, m, coset_cap)
     except LimitExceeded as err:
-        if coset_cap >= element_cap:
-            raise
         raise LimitExceeded(
             f"index of ({n}, {m}) exceeds the coset cap {coset_cap}; "
             f"partial size {err.partial}",
@@ -414,9 +393,10 @@ def abelianization(
     )
 
 
-def _relation_rows(table: CosetTable) -> list[array]:
+def _relation_rows(table: ImageGroup) -> list[array]:
     # the rewritten relators from every coset, then the tree-edge unit rows,
-    # as dense rows of signed bytes: a relator has six letters at most
+    # as dense rows of signed bytes: a relator has six letters at most.  The
+    # tree edge into c kills a generator of its parent, or of c if inverted
     n = table.n
     degree = table.size * (n - 1)
     relators = artin_relators(n)
@@ -427,14 +407,12 @@ def _relation_rows(table: CosetTable) -> list[array]:
             if final != c:
                 raise RuntimeError("relator does not fix a coset; table bug")
             rows.append(_dense_bytes(coords, degree))
-    for c in range(1, table.size):
-        last = table.transversals[c][-1]
-        if last > 0:
-            parent = table.action[c][(last - 1) * 2 + 1]
-            coords = {parent * (n - 1) + last - 1: 1}
+    for c, (parent, letter) in enumerate(table.parents[1:], start=1):
+        if letter > 0:
+            k = parent * (n - 1) + letter - 1
         else:
-            coords = {c * (n - 1) - last - 1: 1}
-        rows.append(_dense_bytes(coords, degree))
+            k = c * (n - 1) - letter - 1
+        rows.append(_dense_bytes({k: 1}, degree))
     return rows
 
 
@@ -496,7 +474,7 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     theta_right = []
     for c, tau in enumerate(table.transversals):
         for i in range(1, n):
-            back = backs[table.action[c][(i - 1) * 2]]
+            back = backs[table.edges[c][_letter_pos(i)]]
             coords, _ = _rewrite(table, start, tau + (i,) + back)
             theta_right.append(matrices.sparse_combination(coords, right_wanted))
     conjugated = [

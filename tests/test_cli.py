@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from braidcong.claims import SuiteConfig
 from braidcong.cli import WordParseError, format_word, main, parse_word
 from braidcong.words import random_word
 
@@ -161,6 +162,15 @@ def test_cryst_quotient_check_rejects_strand_counts_below_two(capsys):
     assert capsys.readouterr().err == "error: strand count must be at least 2, got 1\n"
 
 
+def test_cryst_quotient_check_rejects_sample_counts_below_one(capsys):
+    for samples in ("0", "-3"):
+        argv = ["cryst", "quotient-check", "--n", "3", "--m", "3", "--samples", samples]
+        assert main(argv) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert printed.err == f"error: samples must be positive, got {samples}\n"
+
+
 def test_cryst_quotient_check_report_is_pinned(capsys, tmp_path):
     """Frozen from the command's output before it shared the c10 loop."""
     out = tmp_path / "qc.json"
@@ -253,6 +263,24 @@ def test_verify_settings_are_checked_alike_by_both_routes(capsys, tmp_path):
     printed = capsys.readouterr()
     assert printed.out == ""
     assert "coset_cap must be positive" in printed.err
+
+
+def test_verify_rejects_claim_filters_that_select_nothing(capsys, tmp_path):
+    cfg = tmp_path / "suite.cfg"
+    for text in ("c99", ",", "c99,x"):
+        assert main(["verify", "--claims", text]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "no claim matches" in printed.err
+    for line in ("claims = c99", "claims =", "claims = , "):
+        cfg.write_text(line + "\n")
+        assert main(["verify", "--config", str(cfg)]) == 2
+        printed = capsys.readouterr()
+        assert printed.out == ""
+        assert "no claim matches" in printed.err
+    with pytest.raises(ValueError, match=r"no claim matches \['c99'\]"):
+        SuiteConfig(claims=("c99",))
+    assert SuiteConfig(claims=("c05",)).claims == ("c05",)
 
 
 def test_strand_counts_below_two_exit_two(capsys):

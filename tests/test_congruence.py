@@ -221,12 +221,54 @@ def test_five_strand_level_four_image_order():
 def test_coset_table_layout():
     t = coset_table(3, 2)
     assert t.size == 6
-    assert t.action == GOLDEN_32_ACTION
+    assert t.edges == GOLDEN_32_ACTION
     assert t.transversals == GOLDEN_32_TRANSVERSALS
     # public interface is 1-based with coset 1 the subgroup itself
     assert t.apply(1, 1) == 2
     assert t.apply(1, 2) == 3
     assert t.apply(2, -1) == 1
+
+
+def test_coset_table_is_the_image():
+    for n, m in [(3, 2), (3, 3), (4, 2)]:
+        assert coset_table(n, m) == enumerate_image(n, m)
+
+
+def test_apply_rejects_letters_outside_the_strand_range():
+    t = coset_table(3, 2)
+    for letter in (0, 3, -3, 7):
+        with pytest.raises(ValueError, match=f"letter {letter} out of range for 3 strands"):
+            t.apply(1, letter)
+
+
+def _last_letter_relation_rows(table):
+    # the relation rows as built from transversal words: the tree edge into
+    # coset c is the last letter of its transversal, and its parent is found
+    # by walking that letter back
+    n = table.n
+    degree = table.size * (n - 1)
+    rows = []
+    for c in range(table.size):
+        tau = table.transversal(c + 1)
+        for rel in artin_relators(n):
+            coords = subgroup_coordinates(table, tau * rel * tau.inverse())
+            rows.append([coords.get(k, 0) for k in range(degree)])
+    for c in range(1, table.size):
+        last = table.transversals[c][-1]
+        if last > 0:
+            parent = table.apply(c + 1, -last) - 1
+            k = parent * (n - 1) + last - 1
+        else:
+            k = c * (n - 1) - last - 1
+        rows.append([int(k == j) for j in range(degree)])
+    return rows
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_relation_rows_match_the_last_letter_derivation(n, m):
+    table = coset_table(n, m)
+    rows = [list(row) for row in congruence._relation_rows(table)]
+    assert rows == _last_letter_relation_rows(table)
 
 
 def test_coset_numbers_outside_the_table_are_rejected():
@@ -315,9 +357,6 @@ def test_abelianization_respects_coset_cap():
     with pytest.raises(LimitExceeded, match="coset cap 5") as err:
         abelianization(3, 3, coset_cap=5)
     assert (err.value.partial, err.value.stage) == (5, "coset")
-    with pytest.raises(LimitExceeded, match="element cap 5") as err:
-        abelianization(3, 3, coset_cap=10, element_cap=5)
-    assert (err.value.partial, err.value.stage) == (5, "image")
     assert abelianization(3, 3, coset_cap=24).table.size == 24
     with pytest.raises(ValueError):
         abelianization(3, 3, coset_cap=0)
