@@ -386,6 +386,8 @@ def check_transvection_model(n: int, m: int, samples: int = 200, seed: int = 0) 
         raise ValueError(f"chain model comparison requires odd strand count, got {n}")
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     rng = Random(seed)
     identity = matrices.identity(n - 1)
     for t in range(samples):

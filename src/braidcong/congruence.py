@@ -498,8 +498,11 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
 
 def divisibility_check(n: int, m: int, k: int, samples: int, seed: int = 0) -> bool:
     """Sampled containment of the level-k subgroup in the level-m subgroup."""
+    check_strand_count(n)
     if m < 2 or k % m:
         raise ValueError(f"need m >= 2 dividing k, got m={m}, k={k}")
+    if samples < 1:
+        raise ValueError(f"samples must be positive, got {samples}")
     rng = Random(seed)
     for _ in range(samples):
         w = _conjugated_powers(rng, n, k)

@@ -21,7 +21,6 @@ form with it, and so do the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from random import Random
 from typing import Iterable
 
 from .matrices import IntMatrix
@@ -391,32 +390,16 @@ def additivity_failures(
     return failures
 
 
-def holonomy_faithful(n: int, samples: int = 200, seed: int = 0) -> bool:
+def holonomy_faithful(n: int) -> bool:
     """Whether the pair action of the symmetric group on the lattice is faithful.
 
-    Exhaustive for n up to 6; for larger n, checks adjacent transpositions
-    and random samples.
+    A permutation that fixes every pair sends strand i into every pair that
+    holds i, so the kernel is trivial exactly when, for each i, those pairs
+    meet only in {i}.  Exact for every n: only n = 2 fails.
     """
     check_strand_count(n)
-    fixed = tuple(range(pair_count(n)))
-
-    def moves_some_pair(perm: Permutation) -> bool:
-        return pair_action(perm) != fixed
-
-    if n <= 6:
-        return all(
-            moves_some_pair(perm)
-            for perm in all_permutations(n)
-            if not perm.is_identity()
-        )
-    rng = Random(seed)
-    probes = []
-    for i in range(1, n):
-        images = list(range(1, n + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        probes.append(Permutation(tuple(images)))
-    for _ in range(samples):
-        images = list(range(1, n + 1))
-        rng.shuffle(images)
-        probes.append(Permutation(tuple(images)))
-    return all(moves_some_pair(p) for p in probes if not p.is_identity())
+    strands = set(range(1, n + 1))
+    pairs = [{p.i, p.j} for p in pair_list(n)]
+    return all(
+        strands.intersection(*(pair for pair in pairs if i in pair)) == {i} for i in strands
+    )

@@ -2,7 +2,9 @@
 
 All arithmetic is arbitrary precision.  The decomposition satisfies
 left * A * right = D with left and right unimodular and D diagonal with a
-divisibility chain d_1 | d_2 | ... on its positive entries.
+divisibility chain d_1 | d_2 | ... on its positive entries.  One sparse
+elimination loop computes it, small pivots first (Havas, Holt and Rees,
+"Recognizing badly presented Z-modules", Linear Algebra Appl. 192, 1993).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from .matrices import (
     IntMatrix,
     SparseVector,
     add_multiple,
-    identity,
     sparse,
     sparse_combination,
 )
@@ -29,9 +30,12 @@ class SmithForm:
 
     left_rows[r] is row r of left, right_columns[c] is column c of right and
     right_inverse_rows[c] is row c of right^-1, each a dict {index: entry}
-    without zeros.  The dense left, right and right_inverse are views built
-    on first access, for test oracles and counters only: no library path
-    reads them, and at (n, m) = (4, 4) the three take about 640 MB.
+    without zeros.  Position t < rank holds the t-th kept pivot, in the
+    order the elimination kept them; the rows and columns that never held
+    a pivot follow in index order.  The dense left, right and right_inverse
+    are views built on first access, for test oracles and counters only: no
+    library path reads them, and at (n, m) = (4, 4) the three take about
+    640 MB.
     """
 
     rows: int
@@ -64,17 +68,31 @@ class SmithForm:
 def smith_normal_form(matrix) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
 
-    Two stages.  Sparse elimination first takes unit pivots (entries +-1) of
-    least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1), so rows
-    with a single unit entry go first; each pivot clears its column by row
-    operations and its row by column operations.  The residual block, which
-    has no unit entry left, is then reduced by the dense smallest-entry loop
-    of _dense_smith, and its transforms are composed into the sparse ones.
+    One sparse elimination loop.  While a unit entry (+-1) is left, the pivot
+    is the unit of least Markowitz cost (row nonzeros - 1) * (column nonzeros
+    - 1), so rows with a single unit entry go first; otherwise it is the
+    entry of least absolute value, ties broken by row, then column.  A pass
+    makes the pivot d positive, clears its column by row operations and its
+    row by column operations, each with quotient entry // d.  A remainder
+    (an entry below d) sends the loop back to pick again.  When the pivot
+    stands alone but fails to divide a remaining entry, that entry's row is
+    added to the pivot row and the same pivot is reduced again, which leaves
+    a remainder.  Otherwise the pivot is kept.
+
+    So units come first, and each kept pivot divides every later one: once d
+    is kept every remaining entry is a multiple of d, and row and column
+    operations keep it so.  The loop ends: at most min(rows, cols) pivots
+    are kept, a unit pass always keeps its pivot, and any other pass either
+    keeps it or leaves an entry below d, the least nonzero |entry| it
+    started from.
     """
     matrix = list(matrix)
-    rows = [sparse(row) for row in matrix]
-    nrows = len(rows)
+    nrows = len(matrix)
     ncols = len(matrix[0]) if nrows else 0
+    for r, row in enumerate(matrix):
+        if len(row) != ncols:
+            raise ValueError(f"row {r} has {len(row)} entries, row 0 has {ncols}")
+    rows = [sparse(row) for row in matrix]
     # holders[c]: the rows with a nonzero entry in column c
     holders: list[set[int]] = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):
@@ -88,96 +106,116 @@ def smith_normal_form(matrix) -> SmithForm:
     def cost(r: int, c: int) -> int:
         return (len(rows[r]) - 1) * (len(holders[c]) - 1)
 
+    def put(r: int, k: int, z: int) -> None:
+        # set entry (r, k) of the matrix to z
+        row = rows[r]
+        if z:
+            if k not in row:
+                holders[k].add(r)
+            row[k] = z
+            if z in (1, -1):
+                heapq.heappush(heap, (cost(r, k), r, k))
+        elif k in row:
+            del row[k]
+            holders[k].discard(r)
+
     heap = [
         (cost(r, c), r, c) for r, row in enumerate(rows) for c, x in row.items() if x in (1, -1)
     ]
     heapq.heapify(heap)
     pivots = []
-    while heap:
-        stored, p, c = heapq.heappop(heap)
-        x = rows[p].get(c)
-        if x not in (1, -1):
-            continue
-        current = cost(p, c)
-        if current > stored:
-            heapq.heappush(heap, (current, p, c))
-            continue
+    while True:
+        while heap:
+            stored, p, c = heapq.heappop(heap)
+            if rows[p].get(c) in (1, -1):
+                current = cost(p, c)
+                if current <= stored:
+                    break
+                heapq.heappush(heap, (current, p, c))
+        else:
+            least = min(
+                ((abs(x), r, k) for r, row in enumerate(rows) for k, x in row.items()),
+                default=None,
+            )
+            if least is None:
+                break
+            _, p, c = least
         pivot_row = rows[p]
-        if x < 0:
+        if pivot_row[c] < 0:
             for k in pivot_row:
                 pivot_row[k] = -pivot_row[k]
             left[p] = {k: -y for k, y in left[p].items()}
+        d = pivot_row[c]
+        # row p leaves the matrix while its pivot is reduced
         for k in pivot_row:
             holders[k].discard(p)
-        for r in holders[c]:
-            row = rows[r]
-            q = row[c]
-            for k, y in pivot_row.items():
-                z = row.get(k, 0) - q * y
-                if z:
-                    if k not in row:
-                        holders[k].add(r)
-                    row[k] = z
-                else:
-                    del row[k]
-                    if k != c:
+        while True:
+            # a copy: rows whose entry in column c reaches 0 leave holders[c]
+            for r in tuple(holders[c]):
+                row = rows[r]
+                q = row[c] // d
+                for k, y in pivot_row.items():
+                    z = row.get(k, 0) - q * y
+                    if z:
+                        if k not in row:
+                            holders[k].add(r)
+                        row[k] = z
+                    else:
+                        del row[k]
                         holders[k].discard(r)
-            add_multiple(left[r], left[p], q)
-            for k, z in row.items():
-                if z in (1, -1):
-                    heapq.heappush(heap, (cost(r, k), r, k))
-        holders[c] = set()
-        # column c now holds only the pivot, so clearing row p by column
-        # operations changes the transforms and not the remaining matrix
-        for k, q in pivot_row.items():
-            if k != c:
-                add_multiple(right_cols[k], right_cols[c], q)
-        rinv[c] = pivot_row
-        rows[p] = {}
-        pivots.append((p, c))
+                add_multiple(left[r], left[p], q)
+                for k, z in row.items():
+                    if z in (1, -1):
+                        heapq.heappush(heap, (cost(r, k), r, k))
+            # column k minus q_k times column c, for each k in row p; holders[c]
+            # now holds the column remainders, so the matrix changes only in
+            # those rows and row p.  Row c of right^-1 gains q_k times row k.
+            quotients = {k: x // d for k, x in pivot_row.items()}
+            for k, q in quotients.items():
+                if k != c and q:
+                    add_multiple(right_cols[k], right_cols[c], q)
+                    for r in holders[c]:
+                        put(r, k, rows[r].get(k, 0) - q * rows[r][c])
+            rinv[c] = sparse_combination(quotients, rinv)
+            rest = {k: x % d for k, x in pivot_row.items() if x % d}
+            if rest or holders[c]:
+                # a remainder: row p goes back into the matrix
+                rows[p] = {}
+                for k, x in {c: d, **rest}.items():
+                    put(p, k, x)
+                break
+            # d stands alone; it must divide every entry left, or the first
+            # row holding an entry it does not divide joins the pivot row
+            offender = None
+            if d > 1:
+                offender = next(
+                    (r for r, row in enumerate(rows)
+                     if r != p and any(x % d for x in row.values())),
+                    None,
+                )
+            if offender is None:
+                rows[p] = {}
+                pivots.append((p, c, d))
+                break
+            pivot_row = rows[p] = {c: d, **rows[offender]}
+            add_multiple(left[p], left[offender], -1)
 
-    # the residual block: rows and columns that still hold a nonzero entry
-    res_rows = [r for r in range(nrows) if rows[r]]
-    res_cols = [c for c in range(ncols) if holders[c]]
-    col_pos = {c: j for j, c in enumerate(res_cols)}
-    block = [[0] * len(res_cols) for _ in res_rows]
-    for i, r in enumerate(res_rows):
-        for c, x in rows[r].items():
-            block[i][col_pos[c]] = x
-    dense = _dense_smith(block, len(res_cols))
-
-    # pivots first, then the residual block, then the rows and columns
-    # that were left empty without a pivot
-    pivot_rows = {p for p, _ in pivots}
-    pivot_cols = {c for _, c in pivots}
-    spare_rows = [r for r in range(nrows) if not rows[r] and r not in pivot_rows]
-    spare_cols = [c for c in range(ncols) if not holders[c] and c not in pivot_cols]
-    row_order = [left[p] for p, _ in pivots]
-    row_order += [_combine(coeffs, res_rows, left) for coeffs in dense.left_rows]
-    row_order += [left[r] for r in spare_rows]
-    columns = [right_cols[c] for _, c in pivots]
-    columns += [_combine(coeffs, res_cols, right_cols) for coeffs in dense.right_columns]
-    columns += [right_cols[c] for c in spare_cols]
-    inverse = [rinv[c] for _, c in pivots]
-    inverse += [_combine(coeffs, res_cols, rinv) for coeffs in dense.right_inverse_rows]
-    inverse += [rinv[c] for c in spare_cols]
-
-    diagonal = (1,) * len(pivots) + dense.diagonal
+    # pivots first, then the rows and columns that were left empty without one
+    row_order = [p for p, _, _ in pivots]
+    col_order = [c for _, c, _ in pivots]
+    row_order += sorted(set(range(nrows)).difference(row_order))
+    col_order += sorted(set(range(ncols)).difference(col_order))
+    diagonal = tuple(d for _, _, d in pivots)
     diagonal += (0,) * (min(nrows, ncols) - len(diagonal))
     return SmithForm(
         rows=nrows,
         cols=ncols,
         diagonal=diagonal,
-        rank=sum(1 for d in diagonal if d),
-        left_rows=tuple(row_order),
-        right_columns=tuple(columns),
-        right_inverse_rows=tuple(inverse),
+        rank=len(pivots),
+        left_rows=tuple(left[r] for r in row_order),
+        right_columns=tuple(right_cols[c] for c in col_order),
+        right_inverse_rows=tuple(rinv[c] for c in col_order),
     )
-
-
-def _combine(coeffs: SparseVector, keys: list[int], vectors: list[dict]) -> dict:
-    # sum of coeffs[j] * vectors[keys[j]] as a sparse vector
-    return sparse_combination({keys[j]: q for j, q in coeffs.items()}, vectors)
 
 
 def _dense_row(row: dict, length: int) -> tuple[int, ...]:
@@ -186,116 +224,6 @@ def _dense_row(row: dict, length: int) -> tuple[int, ...]:
     for k, x in row.items():
         out[k] = x
     return tuple(out)
-
-
-def _dense_smith(matrix, ncols: int) -> SmithForm:
-    """The dense smallest-entry Smith loop on a list of rows with ncols columns.
-
-    Pivot choice is the smallest nonzero entry of the trailing block by
-    absolute value, which keeps intermediate entries small in practice.
-    """
-    m = [list(row) for row in matrix]
-    nrows = len(m)
-    left = [list(row) for row in identity(nrows)]
-    right = [list(row) for row in identity(ncols)]
-    rinv = [list(row) for row in identity(ncols)]
-
-    def row_op(dst: int, src: int, q: int) -> None:
-        if q == 0:
-            return
-        mrow = m[src]
-        for c in range(ncols):
-            m[dst][c] -= q * mrow[c]
-        lrow = left[src]
-        for c in range(nrows):
-            left[dst][c] -= q * lrow[c]
-
-    def col_op(dst: int, src: int, q: int) -> None:
-        # column dst minus q times column src; keep right and its inverse in sync
-        if q == 0:
-            return
-        for r in range(nrows):
-            m[r][dst] -= q * m[r][src]
-        for r in range(ncols):
-            right[r][dst] -= q * right[r][src]
-        rrow = rinv[dst]
-        srow = rinv[src]
-        for c in range(ncols):
-            srow[c] += q * rrow[c]
-
-    def swap_rows(a: int, b: int) -> None:
-        if a != b:
-            m[a], m[b] = m[b], m[a]
-            left[a], left[b] = left[b], left[a]
-
-    def swap_cols(a: int, b: int) -> None:
-        if a == b:
-            return
-        for r in range(nrows):
-            m[r][a], m[r][b] = m[r][b], m[r][a]
-        for r in range(ncols):
-            right[r][a], right[r][b] = right[r][b], right[r][a]
-        rinv[a], rinv[b] = rinv[b], rinv[a]
-
-    def negate_row(r: int) -> None:
-        m[r] = [-x for x in m[r]]
-        left[r] = [-x for x in left[r]]
-
-    t = 0
-    bound = min(nrows, ncols)
-    while t < bound:
-        # locate the smallest nonzero entry of the trailing block
-        best = None
-        for r in range(t, nrows):
-            for c in range(t, ncols):
-                v = m[r][c]
-                if v != 0 and (best is None or abs(v) < abs(m[best[0]][best[1]])):
-                    best = (r, c)
-        if best is None:
-            break
-        swap_rows(t, best[0])
-        swap_cols(t, best[1])
-        if m[t][t] < 0:
-            negate_row(t)
-        pivot = m[t][t]
-        dirty = False
-        for r in range(t + 1, nrows):
-            if m[r][t]:
-                row_op(r, t, m[r][t] // pivot)
-                if m[r][t]:
-                    dirty = True
-        for c in range(t + 1, ncols):
-            if m[t][c]:
-                col_op(c, t, m[t][c] // pivot)
-                if m[t][c]:
-                    dirty = True
-        if dirty:
-            continue
-        # enforce the divisibility chain before advancing
-        offender = None
-        for r in range(t + 1, nrows):
-            for c in range(t + 1, ncols):
-                if m[r][c] % pivot:
-                    offender = r
-                    break
-            if offender is not None:
-                break
-        if offender is not None:
-            row_op(t, offender, -1)
-            continue
-        t += 1
-
-    diagonal = tuple(m[k][k] for k in range(bound))
-    rank = sum(1 for d in diagonal if d)
-    return SmithForm(
-        rows=nrows,
-        cols=ncols,
-        diagonal=diagonal,
-        rank=rank,
-        left_rows=tuple(map(sparse, left)),
-        right_columns=tuple(map(sparse, zip(*right))),
-        right_inverse_rows=tuple(map(sparse, rinv)),
-    )
 
 
 def solve_integer(a, b: tuple[int, ...]) -> tuple[int, ...] | None:

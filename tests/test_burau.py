@@ -315,3 +315,6 @@ def test_transvection_model_rejects_bad_input():
         check_transvection_model(4, 3)
     with pytest.raises(ValueError):
         check_transvection_model(3, 1)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            check_transvection_model(3, 3, samples=samples)

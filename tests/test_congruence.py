@@ -559,3 +559,11 @@ def test_divisibility_of_levels():
     assert divisibility_check(4, 2, 6, samples=15, seed=710)
     with pytest.raises(ValueError):
         divisibility_check(3, 4, 6, samples=5)
+
+
+def test_divisibility_check_rejects_empty_samples_and_bad_strands():
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            divisibility_check(3, 2, 4, samples=samples)
+    with pytest.raises(ValueError, match="strand count"):
+        divisibility_check(1, 2, 4, samples=0)

@@ -31,6 +31,7 @@ from braidcong.words import (
     all_permutations,
     full_twist,
     linking_vector,
+    pair_action,
     pair_list,
     pair_position,
     permutation,
@@ -326,10 +327,19 @@ def test_pair_permutation_matrix_conventions():
 
 
 def test_holonomy_representation_is_faithful():
-    for n in (3, 4, 5):
-        assert holonomy_faithful(n, samples=60, seed=811)
+    for n in range(3, 13):
+        assert holonomy_faithful(n)
     # n = 2: a single pair, and the transposition acts trivially on it
     assert not holonomy_faithful(2)
+    with pytest.raises(ValueError):
+        holonomy_faithful(1)
+
+
+def test_holonomy_faithfulness_matches_brute_force():
+    for n in range(2, 6):
+        fixed = tuple(range(n * (n - 1) // 2))
+        kernel = [p for p in all_permutations(n) if pair_action(p) == fixed]
+        assert holonomy_faithful(n) == (len(kernel) == 1)
 
 
 # The word path: normalize products, inverses and powers of representative

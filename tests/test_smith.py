@@ -1,5 +1,7 @@
 """Smith normal form, integer solving, and kernel bases."""
 
+from itertools import combinations
+from math import gcd
 from random import Random
 
 import pytest
@@ -8,7 +10,7 @@ from braidcong import smith
 from braidcong.congruence import abelianization, conjugation_action
 from braidcong.cryst import element_order, torsion_search
 from braidcong.matrices import determinant, identity, mat_mul, mat_vec, sparse
-from braidcong.smith import _dense_smith, kernel_basis, smith_normal_form, solve_integer
+from braidcong.smith import kernel_basis, smith_normal_form, solve_integer
 from braidcong.words import BraidWord, full_twist
 
 
@@ -53,6 +55,10 @@ def test_known_forms():
     s = _check_form(((6,),))
     assert s.diagonal == (6,)
     assert s.invariant_factors == (6,)
+    # the pivot 2 stands alone but fails to divide an entry; adding that
+    # entry's row to the pivot row brings in entries whose quotient is 0
+    s = _check_form(((2, 2, 2), (3, -3, -3), (3, 0, 0), (-3, 0, 2), (0, -3, -3)))
+    assert s.diagonal == (1, 1, 6)
 
 
 def test_invariant_factors_drop_units():
@@ -118,16 +124,65 @@ def _sparse_matrix(rng, rows, cols, density=0.12):
     )
 
 
-def test_sparse_forms_match_the_dense_loop():
+def test_sparse_forms_are_certified():
+    # unimodular left and right with left * A * right diagonal and a
+    # divisibility chain determine the Smith form, so _check_form certifies it
     rng = Random(504)
     for _ in range(12):
         rows = rng.randint(36, 44)
         cols = rng.randint(36, 44)
         a = _sparse_matrix(rng, rows, cols, density=rng.choice((0.05, 0.12, 0.25)))
+        _check_form(a)
+
+
+def _determinantal_diagonal(a):
+    # d_k = gcd of the k x k minors; the Smith diagonal is d_k / d_(k-1)
+    rows, cols = len(a), len(a[0])
+    out, previous = [], 1
+    for k in range(1, min(rows, cols) + 1):
+        divisor = gcd(
+            *(
+                determinant(tuple(tuple(a[r][c] for c in cs) for r in rs))
+                for rs in combinations(range(rows), k)
+                for cs in combinations(range(cols), k)
+            )
+        )
+        out.append(divisor // previous if previous else 0)
+        previous = divisor
+    return tuple(out)
+
+
+def test_diagonal_matches_the_determinantal_divisors():
+    """Independent oracle: gcds of minors, on matrices of at most 20 entries."""
+    rng = Random(507)
+    for _ in range(150):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, min(6, 20 // rows))
+        a = _random_matrix(rng, rows, cols, bound=rng.choice((3, 12, 60)))
+        assert smith_normal_form(a).diagonal == _determinantal_diagonal(a)
+
+
+@pytest.mark.parametrize("entries", [(0, 2, -2, 3, -3), (0, 6, 10, 15), (0, 4, 6, -6, 9)])
+def test_matrices_without_a_unit_entry(entries):
+    """Many ties and no unit: remainders and the divisibility step must both run."""
+    rng = Random(508)
+    for _ in range(1000):
+        rows = rng.randint(1, 6)
+        cols = rng.randint(1, 6)
+        a = tuple(tuple(rng.choice(entries) for _ in range(cols)) for _ in range(rows))
         s = _check_form(a)
-        dense = _dense_smith(a, cols)
-        assert s.diagonal == dense.diagonal
-        assert s.rank == dense.rank
+        if rows * cols <= 20:
+            assert s.diagonal == _determinantal_diagonal(a)
+
+
+def test_ragged_input_is_rejected():
+    for a in (((1, 2), (3,)), ((1,), (2, 3)), ((0, 2), (0,))):
+        with pytest.raises(ValueError, match="row 1 has"):
+            smith_normal_form(a)
+    with pytest.raises(ValueError, match="row 1 has"):
+        kernel_basis(((0, 2), (0,)))
+    with pytest.raises(ValueError, match="row 2 has"):
+        solve_integer(((1, 2), (3, 4), (5,)), (1, 2, 3))
 
 
 def _scramble(rng, a, steps):
