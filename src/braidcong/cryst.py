@@ -20,6 +20,7 @@ form with it, and so do the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -30,7 +31,6 @@ from .words import (
     LinkingVector,
     Permutation,
     _position,
-    all_permutations,
     check_strand_count,
     pair_action,
     pair_count,
@@ -230,6 +230,32 @@ def _orbit_sum(perm: Permutation, k: int) -> IntMatrix:
     return tuple(map(tuple, rows))
 
 
+def _partitions(n: int, smallest: int = 1):
+    """The partitions of n into parts of at least smallest, in lexicographic
+    order, each listed shortest part first."""
+    if n == 0:
+        yield ()
+    for part in range(smallest, n + 1):
+        for rest in _partitions(n - part, part):
+            yield (part,) + rest
+
+
+def _first_of_type(parts: tuple[int, ...]) -> Permutation:
+    """The first permutation of a cycle type in all_permutations order.
+
+    Greedily smallest images: the shortest cycles come first, each on
+    consecutive strands a -> a+1 -> ... -> a, since closing a cycle at a
+    beats extending it to a larger strand.
+    """
+    images: list[int] = []
+    start = 1
+    for length in parts:
+        images += range(start + 1, start + length)
+        images.append(start)
+        start += length
+    return Permutation(tuple(images))
+
+
 def torsion_search(n: int, k: int) -> CrystElement | None:
     """Search for an element of order exactly k; None records absence.
 
@@ -238,21 +264,26 @@ def torsion_search(n: int, k: int) -> CrystElement | None:
     power of (perm, v) is vec((perm, 0)^k) + sum_{j<k} P^j v, and torsion
     exists exactly when that integer linear system has a solution.
     Conjugation keeps the order and moves the permutation through its
-    conjugacy class, so a cycle type refused once is not tried again;
-    permutations are tried in the order all_permutations gives them.
+    conjugacy class, so one permutation per cycle type of order k is tried:
+    the first of its type in all_permutations order, one per partition of n
+    with lcm k, at most p(n) candidates instead of n! permutations.
+    Partitions come in lexicographic order, and so do the image tuples of
+    their first permutations: where two partitions first differ, the shorter
+    cycle closes on a smaller strand.  The candidates therefore come in the
+    order in which a walk over all_permutations meets each type first, and
+    the search solves the same systems and returns the same element as that
+    walk.
     """
     check_strand_count(n)
     if k < 2:
         raise ValueError(f"order must be at least 2, got {k}")
-    refused: set[tuple[int, ...]] = set()
-    for perm in all_permutations(n):
-        shape = perm.cycle_type()
-        if shape in refused or perm.order() != k:
+    for parts in _partitions(n):
+        if math.lcm(*parts) != k:
             continue
+        perm = _first_of_type(parts)
         base = (CrystElement(n, perm, LinkingVector.zero(n)) ** k).vec
         solution = solve_integer(_orbit_sum(perm, k), tuple(-x for x in base.coords))
         if solution is None:
-            refused.add(shape)
             continue
         found = CrystElement(n, perm, LinkingVector(n, solution))
         if element_order(found) != k:

@@ -59,15 +59,15 @@ class BraidWord:
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         if self.n != other.n:
             raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
-        return BraidWord(self.n, self.letters + other.letters)
+        return _checked_word(self.n, self.letters + other.letters)
 
     def __pow__(self, k: int) -> "BraidWord":
         if k < 0:
             return self.inverse() ** (-k)
-        return BraidWord(self.n, self.letters * k)
+        return _checked_word(self.n, self.letters * k)
 
     def inverse(self) -> "BraidWord":
-        return BraidWord(self.n, tuple(-k for k in reversed(self.letters)))
+        return _checked_word(self.n, tuple(-k for k in reversed(self.letters)))
 
     def free_cancel(self) -> "BraidWord":
         """Remove adjacent cancelling pairs until none remain.
@@ -80,7 +80,20 @@ class BraidWord:
                 out.pop()
             else:
                 out.append(k)
-        return BraidWord(self.n, tuple(out))
+        return _checked_word(self.n, tuple(out))
+
+
+def _checked_word(n: int, letters: tuple[int, ...]) -> BraidWord:
+    """A word from letters already known to be in range for n >= 2 strands.
+
+    Products, inverses, powers and free_cancel of checked words, and
+    random_word's draws, skip the per-letter check of BraidWord.__post_init__;
+    BraidWord(n, letters) keeps it.
+    """
+    word = object.__new__(BraidWord)
+    object.__setattr__(word, "n", n)
+    object.__setattr__(word, "letters", letters)
+    return word
 
 
 @dataclass(frozen=True)
@@ -367,11 +380,12 @@ def formal_class_word(n: int, factors: tuple[tuple[PairIndex, int], ...]) -> Bra
 
 def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
     """Uniform random word of length 0..max_length."""
+    check_strand_count(n)
     length = rng.randint(0, max_length)
     letters = tuple(
         rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)
     )
-    return BraidWord(n, letters)
+    return _checked_word(n, letters)
 
 
 def random_pure_word(rng: Random, n: int, factors: int = 3, conj_length: int = 4) -> BraidWord:

@@ -1,5 +1,6 @@
 """Normal forms and torsion in the crystallographic braid quotient."""
 
+import math
 from random import Random
 
 import pytest
@@ -7,7 +8,10 @@ import pytest
 from braidcong.cryst import (
     CrystElement,
     _cocycle,
+    _first_of_type,
     _letterwise_power,
+    _orbit_sum,
+    _partitions,
     _power_offset,
     element_order,
     holonomy_faithful,
@@ -23,6 +27,7 @@ from braidcong.cryst import (
     torsion_search,
 )
 from braidcong.matrices import mat_mul, mat_vec
+from braidcong.smith import solve_integer
 from braidcong.words import (
     BraidWord,
     LinkingVector,
@@ -413,6 +418,128 @@ def test_torsion_search_is_pinned():
                 continue
             perm, vec = TORSION_TABLE[(n, k)]
             assert found == CrystElement(n, Permutation(perm), LinkingVector(n, vec)), (n, k)
+
+
+def test_first_of_type_is_the_first_permutation_of_its_cycle_type():
+    partition_counts = {1: 1, 2: 2, 3: 3, 4: 5, 5: 7, 6: 11, 7: 15}
+    for n, count in partition_counts.items():
+        first: dict[tuple[int, ...], Permutation] = {}
+        for perm in all_permutations(n):
+            first.setdefault(perm.cycle_type(), perm)
+        parts = list(_partitions(n))
+        assert len(parts) == len(set(parts)) == count
+        for p in parts:
+            assert list(p) == sorted(p)
+            assert _first_of_type(p) == first[tuple(reversed(p))], p
+        # torsion_search tries candidates in this order, which must be all_permutations'
+        images = [_first_of_type(p).images for p in parts]
+        assert images == sorted(images)
+
+
+def _torsion_solution(perm: Permutation, k: int) -> tuple[int, ...] | None:
+    # the integer system torsion_search solves for a candidate permutation
+    base = (CrystElement(perm.n, perm, LinkingVector.zero(perm.n)) ** k).vec
+    return solve_integer(_orbit_sum(perm, k), tuple(-x for x in base.coords))
+
+
+def _full_scan_torsion_search(n: int, k: int) -> CrystElement | None:
+    # the search over every permutation, in all_permutations order
+    refused: set[tuple[int, ...]] = set()
+    for perm in all_permutations(n):
+        shape = perm.cycle_type()
+        if shape in refused or perm.order() != k:
+            continue
+        solution = _torsion_solution(perm, k)
+        if solution is None:
+            refused.add(shape)
+            continue
+        return CrystElement(n, perm, LinkingVector(n, solution))
+    return None
+
+
+def test_torsion_search_matches_the_full_scan():
+    for n in range(2, 8):
+        for k in range(2, 13):
+            assert torsion_search(n, k) == _full_scan_torsion_search(n, k), (n, k)
+
+
+def _pair_orbits(perm: Permutation) -> list[list[int]]:
+    action = pair_action(perm)
+    seen: set[int] = set()
+    orbits = []
+    for start in range(len(action)):
+        orbit = []
+        pos = start
+        while pos not in seen:
+            seen.add(pos)
+            orbit.append(pos)
+            pos = action[pos]
+        if orbit:
+            orbits.append(orbit)
+    return orbits
+
+
+def _orbit_criterion(perm: Permutation) -> CrystElement | None:
+    """An element of order k over perm, by orbit sums, or None if none exists.
+
+    Sum_{j<k} P^j v is (k/s) times the sum of v over the orbit at every pair
+    of an orbit of size s, so (perm, v)^k = 1 needs vec((perm, 0)^k) constant
+    on each orbit and divisible by k/s; v then carries the quotient at one
+    pair of each orbit.
+    """
+    n, k = perm.n, perm.order()
+    base = (CrystElement(n, perm, LinkingVector.zero(n)) ** k).vec.coords
+    coords = [0] * len(base)
+    for orbit in _pair_orbits(perm):
+        values = {base[pos] for pos in orbit}
+        repeats = k // len(orbit)
+        if len(values) != 1 or values.pop() % repeats:
+            return None
+        coords[orbit[0]] = -base[orbit[0]] // repeats
+    return CrystElement(n, perm, LinkingVector(n, tuple(coords)))
+
+
+def test_torsion_decisions_match_the_orbit_criterion():
+    """Each non-trivial cycle type with n <= 9, accepted or refused alike."""
+    types = 0
+    for n in range(2, 10):
+        accepted_by_order: dict[int, list[Permutation]] = {}
+        for parts in _partitions(n):
+            perm = _first_of_type(parts)
+            k = perm.order()
+            if k == 1:
+                continue
+            types += 1
+            witness = _orbit_criterion(perm)
+            assert (witness is None) == (_torsion_solution(perm, k) is None), perm
+            accepted_by_order.setdefault(k, [])
+            if witness is not None:
+                assert element_order(witness) == k
+                accepted_by_order[k].append(perm)
+        for k, perms in accepted_by_order.items():
+            accepted = sorted(perms, key=lambda p: p.images)
+            found = torsion_search(n, k)
+            if not accepted:
+                assert found is None, (n, k)
+            else:
+                assert found.perm == accepted[0] and element_order(found) == k, (n, k)
+    assert types == 87
+
+
+def _permutation_orders(n: int) -> set[int]:
+    # the lcm of the parts of every partition of n: one part, then a partition of the rest
+    orders = {0: {1}}
+    for total in range(1, n + 1):
+        orders[total] = {
+            math.lcm(part, rest) for part in range(1, total + 1) for rest in orders[total - part]
+        }
+    return orders[n]
+
+
+def test_torsion_orders_are_the_odd_permutation_orders():
+    for n in range(3, 11):
+        found = {k for k in range(2, 31) if torsion_search(n, k) is not None}
+        assert found == {k for k in _permutation_orders(n) if k % 2 and 2 <= k <= 30}, n
 
 
 def test_orders_of_conjugates_with_huge_coordinates():

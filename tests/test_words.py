@@ -52,6 +52,30 @@ def test_word_algebra():
         u * BraidWord(5, (1,))
 
 
+def test_derived_words_equal_the_checked_construction():
+    """Products, inverses, powers and free_cancel skip the letter check but
+    build the same word as BraidWord(n, letters), which still checks."""
+    rng = Random(2610)
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        u, v = random_word(rng, n, 8), random_word(rng, n, 8)
+        k = rng.randint(-3, 3)
+        assert u == BraidWord(n, u.letters)
+        assert u * v == BraidWord(n, u.letters + v.letters)
+        assert u.inverse() == BraidWord(n, tuple(-x for x in reversed(u.letters)))
+        assert u**k == BraidWord(n, (u.letters if k >= 0 else u.inverse().letters) * abs(k))
+        assert u.free_cancel() == BraidWord(n, u.free_cancel().letters)
+        for w in (u * v, u.inverse(), u**k, u.free_cancel()):
+            assert type(w.letters) is tuple and w.n == n
+    with pytest.raises(ValueError, match="strand count mismatch: 3 vs 4"):
+        BraidWord(3, (1,)) * BraidWord(4, (1,))
+    with pytest.raises(ValueError, match="letter 3 is out of range for 3 strands"):
+        BraidWord(3, (3,))
+    for n in (1, 0):
+        with pytest.raises(ValueError, match=f"strand count must be at least 2, got {n}"):
+            random_word(Random(1), n, 5)
+
+
 def test_free_cancel():
     w = BraidWord(3, (1, 2, -2, -1, 1))
     assert w.free_cancel().letters == (1,)
