@@ -448,11 +448,26 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     w^-1 s w.  Rewritten from coset 1, the w suffix walks back along the edges
     of the w^-1 prefix and cancels its coordinates, so theta(s) is s rewritten
     from the coset x that w^-1 reaches; s returns to x, since the subgroup is
-    normal.  Of that coordinate matrix conjugated into the Smith basis,
-    R^-1 theta R, only the columns read are formed, as R^-1 (theta R[:, wanted])
-    over sparse rows: the free columns, which give the free block and the
-    check that the relation lattice is preserved, and the torsion columns,
-    which give the torsion leak.
+    normal.
+
+    No word is rewritten per generator.  Rewriting is additive along a word:
+    the rewrite of u v from x is that of u from x plus that of v from x u.
+    Let P(c) be the rewrite of the tree word tau_c from x, and y_c = x tau_c.
+    The generator s = tau_c sigma_i tau_c'^-1, with c' = c sigma_i, adds
+    P(c), then the one generator (y_c, i) that sigma_i reads, then the
+    rewrite of tau_c'^-1 from y_c sigma_i.  Cosets are image elements, so
+    tau_c sigma_i and tau_c' are the same element, y_c sigma_i = y_c', and
+    the walk of tau_c'^-1 from y_c' retraces that of tau_c' from x backwards,
+    ending at x with coordinates -P(c').  So
+    theta(s) = P(c) + gen(y_c, i) - P(c'), and P and y grow along the tree
+    parents in one pass, each P(c) being its parent's plus one tree letter.
+
+    Of that coordinate matrix conjugated into the Smith basis, R^-1 theta R,
+    only the columns read are formed, as R^-1 (theta R[:, wanted]) over
+    sparse rows: the free columns, which give the free block and the check
+    that the relation lattice is preserved, and the torsion columns, which
+    give the torsion leak.  The prefix sums are kept already multiplied by
+    R[:, wanted], as U_c = P(c) R[:, wanted].
     """
     if w.n != ab.n:
         raise ValueError(f"strand count mismatch: {w.n} vs {ab.n}")
@@ -467,16 +482,30 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     for j, t in enumerate(wanted):
         for k, x in ab.right_columns[t].items():
             right_wanted[k][j] = x
-    start = table.trace(1, w.inverse()) - 1
-    backs = [tuple(-x for x in reversed(tau)) for tau in table.transversals]
+    edges = table.edges
+    # y[c] = start tau_c and prefix[c] = U_c, in BFS order: parents come first
+    y = [table.trace(1, w.inverse()) - 1]
+    prefix: list[SparseVector] = [{}]
+    for parent, letter in table.parents[1:]:
+        here = y[parent]
+        there = edges[here][_letter_pos(letter)]
+        row = dict(prefix[parent])
+        # the tree letter's generator, as _rewrite counts it
+        if letter > 0:
+            matrices.add_multiple(row, right_wanted[here * (n - 1) + letter - 1], -1)
+        else:
+            matrices.add_multiple(row, right_wanted[there * (n - 1) - letter - 1], 1)
+        y.append(there)
+        prefix.append(row)
     # theta R[:, wanted], one row per Schreier generator
     # s = tau_c sigma_i tau_(c sigma_i)^-1
     theta_right = []
-    for c, tau in enumerate(table.transversals):
+    for c, row_c in enumerate(prefix):
         for i in range(1, n):
-            back = backs[table.edges[c][_letter_pos(i)]]
-            coords, _ = _rewrite(table, start, tau + (i,) + back)
-            theta_right.append(matrices.sparse_combination(coords, right_wanted))
+            row = dict(row_c)
+            matrices.add_multiple(row, right_wanted[y[c] * (n - 1) + i - 1], -1)
+            matrices.add_multiple(row, prefix[edges[c][_letter_pos(i)]], 1)
+            theta_right.append(row)
     conjugated = [
         matrices.sparse_combination(row, theta_right) for row in ab.right_inverse_rows
     ]

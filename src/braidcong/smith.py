@@ -28,23 +28,48 @@ __all__ = ["SmithForm", "smith_normal_form", "solve_integer", "kernel_basis"]
 class SmithForm:
     """A Smith decomposition left * A * right = D with sparse transforms.
 
-    left_rows[r] is row r of left, right_columns[c] is column c of right and
-    right_inverse_rows[c] is row c of right^-1, each a dict {index: entry}
-    without zeros.  Position t < rank holds the t-th kept pivot, in the
-    order the elimination kept them; the rows and columns that never held
-    a pivot follow in index order.  The dense left, right and right_inverse
-    are views built on first access, for test oracles and counters only: no
-    library path reads them, and at (n, m) = (4, 4) the three take about
-    640 MB.
+    right_columns[c] is column c of right and right_inverse_rows[c] is row c
+    of right^-1, each a dict {index: entry} without zeros.  Position t < rank
+    holds the t-th kept pivot, in the order the elimination kept them; the
+    rows and columns that never held a pivot follow in index order.
+
+    left is not maintained during the elimination but stored as its log:
+    row_operations lists each row operation (target, source, q), meaning
+    row target minus q times row source, in the order they were done (a sign
+    change of row p is (p, p, 2)), and row_order[t] is the row at position t.
+    left_times applies the log to a vector, which gives left * b without
+    left.  left_rows (row t of left, sparse) replays the log on the identity
+    on first access, and left, right and right_inverse are dense views built
+    on first access.  Only test oracles and counters read these four: no
+    library path does, and at (n, m) = (4, 4) the three dense ones take
+    about 640 MB.
     """
 
     rows: int
     cols: int
     diagonal: tuple[int, ...]
     rank: int
-    left_rows: tuple[SparseVector, ...] = field(repr=False)
+    row_operations: tuple[tuple[int, int, int], ...] = field(repr=False)
+    row_order: tuple[int, ...] = field(repr=False)
     right_columns: tuple[SparseVector, ...] = field(repr=False)
     right_inverse_rows: tuple[SparseVector, ...] = field(repr=False)
+
+    def left_times(self, vector) -> tuple[int, ...]:
+        """left * vector, from the row-operation log."""
+        out = list(vector)
+        if len(out) != self.rows:
+            raise ValueError(f"length mismatch: {self.rows} rows vs {len(out)} entries")
+        for target, source, q in self.row_operations:
+            out[target] -= q * out[source]
+        return tuple(out[r] for r in self.row_order)
+
+    @cached_property
+    def left_rows(self) -> tuple[SparseVector, ...]:
+        left = [{r: 1} for r in range(self.rows)]
+        for target, source, q in self.row_operations:
+            # a sign change reads and writes the same row: only values change
+            add_multiple(left[target], left[source], q)
+        return tuple(left[r] for r in self.row_order)
 
     @cached_property
     def left(self) -> IntMatrix:
@@ -98,8 +123,8 @@ def smith_normal_form(matrix) -> SmithForm:
     for r, row in enumerate(rows):
         for c in row:
             holders[c].add(r)
-    # sparse transforms: rows of left, columns of right, rows of right^-1
-    left = [{r: 1} for r in range(nrows)]
+    # the row-operation log of left; columns of right, rows of right^-1
+    log: list[tuple[int, int, int]] = []
     right_cols = [{c: 1} for c in range(ncols)]
     rinv = [{c: 1} for c in range(ncols)]
 
@@ -144,7 +169,7 @@ def smith_normal_form(matrix) -> SmithForm:
         if pivot_row[c] < 0:
             for k in pivot_row:
                 pivot_row[k] = -pivot_row[k]
-            left[p] = {k: -y for k, y in left[p].items()}
+            log.append((p, p, 2))
         d = pivot_row[c]
         # row p leaves the matrix while its pivot is reduced
         for k in pivot_row:
@@ -163,7 +188,7 @@ def smith_normal_form(matrix) -> SmithForm:
                     else:
                         del row[k]
                         holders[k].discard(r)
-                add_multiple(left[r], left[p], q)
+                log.append((r, p, q))
                 for k, z in row.items():
                     if z in (1, -1):
                         heapq.heappush(heap, (cost(r, k), r, k))
@@ -198,7 +223,7 @@ def smith_normal_form(matrix) -> SmithForm:
                 pivots.append((p, c, d))
                 break
             pivot_row = rows[p] = {c: d, **rows[offender]}
-            add_multiple(left[p], left[offender], -1)
+            log.append((p, offender, -1))
 
     # pivots first, then the rows and columns that were left empty without one
     row_order = [p for p, _, _ in pivots]
@@ -212,7 +237,8 @@ def smith_normal_form(matrix) -> SmithForm:
         cols=ncols,
         diagonal=diagonal,
         rank=len(pivots),
-        left_rows=tuple(left[r] for r in row_order),
+        row_operations=tuple(log),
+        row_order=tuple(row_order),
         right_columns=tuple(right_cols[c] for c in col_order),
         right_inverse_rows=tuple(rinv[c] for c in col_order),
     )
@@ -227,7 +253,12 @@ def _dense_row(row: dict, length: int) -> tuple[int, ...]:
 
 
 def solve_integer(a, b: tuple[int, ...]) -> tuple[int, ...] | None:
-    """An integer solution x of a x = b, or None when none exists."""
+    """An integer solution x of a x = b, or None when none exists.
+
+    With left * a * right = D, x = right y for y solving D y = left b; left b
+    comes from replaying the Smith form's row-operation log on b, so left is
+    never built.
+    """
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
     if len(b) != nrows:
@@ -235,8 +266,7 @@ def solve_integer(a, b: tuple[int, ...]) -> tuple[int, ...] | None:
     s = smith_normal_form(a)
     # y solves D y = left b; then x = right y
     y = {}
-    for t, row in enumerate(s.left_rows):
-        ub = sum(x * b[k] for k, x in row.items())
+    for t, ub in enumerate(s.left_times(b)):
         d = s.diagonal[t] if t < len(s.diagonal) else 0
         if d:
             if ub % d:

@@ -1,5 +1,6 @@
 """Membership, image enumeration, coset tables, and abelianizations."""
 
+import hashlib
 import math
 from dataclasses import replace
 from random import Random
@@ -21,8 +22,8 @@ from braidcong.congruence import (
     subgroup_coordinates,
 )
 from braidcong.burau import ModularMatrix, burau_matrix_mod
-from braidcong.matrices import mat_mul
-from braidcong.smith import smith_normal_form
+from braidcong.matrices import mat_mul, sparse_combination
+from braidcong.smith import kernel_basis, smith_normal_form, solve_integer
 from braidcong.words import (
     BraidWord,
     full_twist,
@@ -339,7 +340,7 @@ def test_subgroup_coordinates_additive_on_members():
 
 def test_abelianization_level_two_matches_pure_braid_rank():
     """Independent oracle: the pure braid group abelianizes to Z^(pairs)."""
-    for n in (3, 4):
+    for n in (3, 4, 5, 6):
         ab = abelianization(n, 2)
         assert ab.free_rank == pair_count(n)
         assert ab.invariant_factors == ()
@@ -490,6 +491,118 @@ def test_torsion_leaks_on_a_quotient_with_torsion():
         leaked = leaked or bool(expect)
     assert leaked
     assert conjugation_action(quotient, full_twist(3)).is_identity()
+
+
+# SHA-256 of the outputs _pinned_outputs lists, as the smith and congruence
+# modules computed them before left was kept as a row-operation log and
+# before conjugation_action summed tree prefixes
+PINNED_OUTPUTS_SHA256 = "3ddc434e81f933bc917af675e5596244fca50033a04e4e8023bb7a0e9b1cf017"
+
+
+def _pinned_outputs():
+    out = []
+    rng = Random(1501)
+    for n, m in ((3, 6), (4, 3)):
+        ab = abelianization(n, m)
+        out.append(ab.diagonal)
+        out.append([sorted(column.items()) for column in ab.right_columns])
+        out.append([sorted(row.items()) for row in ab.right_inverse_rows])
+        for w in (full_twist(n), random_word(rng, n, 12), random_word(rng, n, 12)):
+            act = conjugation_action(ab, w)
+            out.append((w.letters, act.matrix, act.torsion_leak))
+    for _ in range(10):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = tuple(tuple(rng.randint(-6, 6) for _ in range(cols)) for _ in range(rows))
+        x = tuple(rng.randint(-4, 4) for _ in range(cols))
+        solvable = tuple(sum(p * q for p, q in zip(row, x)) for row in a)
+        arbitrary = tuple(rng.randint(-9, 9) for _ in range(rows))
+        out.append((a, solve_integer(a, solvable), solve_integer(a, arbitrary), kernel_basis(a)))
+    return out
+
+
+def test_outputs_match_the_pinned_digest():
+    """Transforms, actions, leaks, solutions and kernels, byte for byte."""
+    digest = hashlib.sha256(repr(_pinned_outputs()).encode()).hexdigest()
+    assert digest == PINNED_OUTPUTS_SHA256
+
+
+def _rewritten_action(ab, w):
+    """The action with each Schreier generator's word rewritten in full.
+
+    theta(s) for s = tau_c sigma_i tau_(c sigma_i)^-1 is the rewrite of that
+    word, of length up to twice the tree depth plus one, from the coset w^-1
+    reaches; then the free block and the torsion leak of R^-1 theta R.
+    """
+    table, n, degree, rank = ab.table, ab.n, ab.num_generators, ab.rank
+    torsion = [t for t in range(rank) if ab.diagonal[t] > 1]
+    wanted = torsion + list(range(rank, degree))
+    right_wanted = [{} for _ in range(degree)]
+    for j, t in enumerate(wanted):
+        for k, x in ab.right_columns[t].items():
+            right_wanted[k][j] = x
+    start = table.trace(1, w.inverse()) - 1
+    backs = [tuple(-x for x in reversed(tau)) for tau in table.transversals]
+    theta_right = []
+    for c, tau in enumerate(table.transversals):
+        for i in range(1, n):
+            back = backs[table.trace(c + 1, BraidWord(n, (i,))) - 1]
+            coords, final = congruence._rewrite(table, start, tau + (i,) + back)
+            assert final == start
+            theta_right.append(sparse_combination(coords, right_wanted))
+    conjugated = [sparse_combination(row, theta_right) for row in ab.right_inverse_rows]
+    k = len(torsion)
+    matrix = tuple(
+        tuple(row.get(j, 0) for j in range(k, len(wanted))) for row in conjugated[rank:]
+    )
+    leaks = tuple(
+        (s - rank, t, conjugated[s].get(j, 0) % ab.diagonal[t])
+        for s in range(rank, degree)
+        for j, t in enumerate(torsion)
+        if conjugated[s].get(j, 0) % ab.diagonal[t]
+    )
+    return matrix, leaks
+
+
+def _level_two_torsion_quotient():
+    # the quotient of test_torsion_leaks_on_a_quotient_with_torsion
+    ab = abelianization(3, 2)
+    degree = ab.num_generators
+    pairs = [
+        _dense(subgroup_coordinates(ab.table, pure_generator(3, i, j)), degree)
+        for i, j in ((1, 2), (1, 3), (2, 3))
+    ]
+    rows = congruence._relation_rows(ab.table)
+    for a, b in ((0, 1), (1, 2)):
+        rows.append([3 * (x - y) for x, y in zip(pairs[a], pairs[b])])
+    form = smith_normal_form(rows)
+    return replace(
+        ab,
+        num_relations=len(rows),
+        diagonal=form.diagonal,
+        rank=form.rank,
+        invariant_factors=form.invariant_factors,
+        free_rank=degree - form.rank,
+        right_columns=form.right_columns,
+        right_inverse_rows=form.right_inverse_rows,
+    )
+
+
+def test_prefix_sum_action_matches_full_rewriting():
+    """Oracle: tree prefix sums give the action and leaks of word rewriting."""
+    rng = Random(1502)
+    levels = ((3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 2), (4, 3))
+    cases = [abelianization(n, m) for n, m in levels]
+    cases.append(_level_two_torsion_quotient())
+    leaked = False
+    for ab in cases:
+        words = [full_twist(ab.n)] + [random_word(rng, ab.n, 12) for _ in range(5)]
+        if ab.invariant_factors:
+            words += [BraidWord(3, (1,)), BraidWord(3, (2,))]
+        for w in words:
+            act = conjugation_action(ab, w)
+            assert (act.matrix, act.torsion_leak) == _rewritten_action(ab, w)
+            leaked = leaked or bool(act.torsion_leak)
+    assert leaked
 
 
 def test_free_coordinates_reject_wrong_lengths():

@@ -1,7 +1,7 @@
 """Smith normal form, integer solving, and kernel bases."""
 
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from random import Random
 
 import pytest
@@ -10,7 +10,7 @@ from braidcong import smith
 from braidcong.congruence import abelianization, conjugation_action
 from braidcong.cryst import element_order, torsion_search
 from braidcong.matrices import determinant, identity, mat_mul, mat_vec, sparse
-from braidcong.smith import kernel_basis, smith_normal_form, solve_integer
+from braidcong.smith import SmithForm, kernel_basis, smith_normal_form, solve_integer
 from braidcong.words import BraidWord, full_twist
 
 
@@ -269,6 +269,74 @@ def test_library_paths_never_build_dense_transforms(monkeypatch):
     a = ((2, 4, 0), (1, 3, 5))
     x = solve_integer(a, (6, 9))
     assert mat_vec(a, x) == (6, 9)
+    basis = kernel_basis(a)
+    assert len(basis) == 1 and mat_vec(a, basis[0]) == (0, 0)
+    assert element_order(torsion_search(5, 3)) == 3
+    with pytest.raises(AssertionError):
+        smith_normal_form(a).left
+
+
+def _solvable_by_minors(a, b):
+    # a x = b has an integer solution exactly when a and [a | b] have the same
+    # rank r and the same gcd of r x r minors
+    da = _determinantal_diagonal(a)
+    dab = _determinantal_diagonal(tuple(row + (y,) for row, y in zip(a, b)))
+    r = sum(1 for d in da if d)
+    return sum(1 for d in dab if d) == r and prod(da[:r]) == prod(dab[:r])
+
+
+def test_solve_integer_decides_like_the_determinantal_divisors():
+    """Independent oracle: solvability from gcds of minors, on systems up to 5 x 5."""
+    rng = Random(509)
+    outcomes = set()
+    for _ in range(40):
+        rows = rng.randint(1, 5)
+        cols = rng.randint(1, 5)
+        a = tuple(
+            tuple(rng.choice((0, 0, 1, -2, 2, 3, -4, 6)) for _ in range(cols))
+            for _ in range(rows)
+        )
+        if rng.random() < 0.5:
+            x = tuple(rng.randint(-3, 3) for _ in range(cols))
+            b = mat_vec(a, x)
+        else:
+            b = tuple(rng.randint(-6, 6) for _ in range(rows))
+        got = solve_integer(a, b)
+        assert (got is not None) == _solvable_by_minors(a, b)
+        if got is not None:
+            assert mat_vec(a, got) == b
+        outcomes.add(got is None)
+    assert outcomes == {True, False}
+
+
+def test_left_times_applies_the_row_operation_log():
+    rng = Random(510)
+    for _ in range(40):
+        rows = rng.randint(1, 7)
+        cols = rng.randint(1, 7)
+        a = _random_matrix(rng, rows, cols, bound=rng.choice((2, 9)))
+        b = tuple(rng.randint(-20, 20) for _ in range(rows))
+        s = smith_normal_form(a)
+        assert s.left_times(b) == mat_vec(s.left, b)
+    with pytest.raises(ValueError):
+        s.left_times(b + (0,))
+
+
+def test_library_paths_never_replay_left(monkeypatch):
+    """Only oracles and counters read left; every library path uses the log."""
+
+    def refuse(form):
+        raise AssertionError("left was replayed")
+
+    monkeypatch.setattr(SmithForm, "left_rows", property(refuse))
+    ab = abelianization(3, 4)
+    assert ab.free_rank == 6
+    assert conjugation_action(ab, full_twist(3)).is_identity()
+    assert len(conjugation_action(ab, BraidWord(3, (1, -2, 1))).matrix) == 6
+    a = ((2, 4, 0), (1, 3, 5))
+    x = solve_integer(a, (6, 9))
+    assert mat_vec(a, x) == (6, 9)
+    assert solve_integer(a, (1, 0)) is None
     basis = kernel_basis(a)
     assert len(basis) == 1 and mat_vec(a, basis[0]) == (0, 0)
     assert element_order(torsion_search(5, 3)) == 3
