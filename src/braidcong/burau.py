@@ -17,10 +17,9 @@ from random import Random
 from . import matrices
 from .matrices import IntMatrix
 from .smith import kernel_basis
-from .words import BraidWord, pair_list, pair_position, random_word
+from .words import BraidWord, check_modulus, pair_list, pair_position, random_word
 
 __all__ = [
-    "ModularMatrix",
     "InvariantFormWitness",
     "generator_matrix",
     "burau_matrix",
@@ -70,68 +69,33 @@ def _apply_letter(rows: list[list[int]], letter: int, m: int | None) -> None:
             row[i + 1] %= m
 
 
-@dataclass(frozen=True)
-class ModularMatrix:
-    """A square matrix over Z/mZ with entries stored in [0, m)."""
-
-    m: int
-    entries: IntMatrix
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"modulus must be at least 2, got {self.m}")
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(tuple(x % self.m for x in row) for row in self.entries),
-        )
-
-    @classmethod
-    def identity(cls, n: int, m: int) -> "ModularMatrix":
-        return cls(m, matrices.identity(n))
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def __mul__(self, other: "ModularMatrix") -> "ModularMatrix":
-        if self.m != other.m:
-            raise ValueError(f"modulus mismatch: {self.m} vs {other.m}")
-        if self.n != other.n:
-            raise ValueError(f"shape mismatch: {self.n}x{self.n} times {other.n}x{other.n}")
-        m, cols = self.m, tuple(zip(*other.entries))
-        return ModularMatrix(
-            m, tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in self.entries)
-        )
-
-    def __pow__(self, k: int) -> "ModularMatrix":
-        if k < 0:
-            raise ValueError("negative matrix power not supported")
-        out, base = ModularMatrix.identity(self.n, self.m), self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
-
-    def is_identity(self) -> bool:
-        return all(
-            x == (1 if r == c else 0)
-            for r, row in enumerate(self.entries)
-            for c, x in enumerate(row)
-        )
-
-
-def burau_matrix_mod(w: BraidWord, m: int) -> ModularMatrix:
-    """Image of a braid word with entries reduced mod m at every step."""
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
+def burau_matrix_mod(w: BraidWord, m: int) -> IntMatrix:
+    """Image of a braid word with entries reduced into [0, m) at every step."""
+    check_modulus(m)
     out = [list(row) for row in matrices.identity(w.n)]
     for k in w.letters:
         _apply_letter(out, k, m)
-    return ModularMatrix(m, tuple(tuple(row) for row in out))
+    return tuple(tuple(row) for row in out)
+
+
+def _mul_mod(a: IntMatrix, b: IntMatrix, m: int) -> IntMatrix:
+    # the product with each entry reduced into [0, m)
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) % m for col in cols) for row in a)
+
+
+def _pow_mod(a: IntMatrix, k: int, m: int) -> IntMatrix:
+    # a^k mod m by repeated squaring
+    if k < 0:
+        raise ValueError("negative matrix power not supported")
+    out, base = matrices.identity(len(a)), a
+    while k:
+        if k & 1:
+            out = _mul_mod(out, base, m)
+        k >>= 1
+        if k:
+            base = _mul_mod(base, base, m)
+    return out
 
 
 # the exact order search factors p^k - 1 (k <= n) by trial division, up to
@@ -139,9 +103,10 @@ def burau_matrix_mod(w: BraidWord, m: int) -> ModularMatrix:
 _FACTOR_LIMIT = 10**12
 
 
-def order_mod(mat: ModularMatrix, cap: int | None = None) -> int | None:
-    """Least k >= 1 with mat^k = identity, or None when none is found.
+def order_mod(mat: IntMatrix, m: int, cap: int | None = None) -> int | None:
+    """Least k >= 1 with mat^k = identity mod m, or None when none is found.
 
+    mat is any square integer matrix; it is reduced mod m once, up front.
     Short orders, up to n * m (those of generator powers and full twists),
     are found by stepping.  Longer ones are exact too: the order divides a
     known multiple of the exponent of GL_n(Z/m), whose prime factors are
@@ -153,30 +118,32 @@ def order_mod(mat: ModularMatrix, cap: int | None = None) -> int | None:
     while p^n <= 10^12.  Beyond that, orders are found by stepping alone, up
     to the cap or by default 4 * m * n, and None is reported above it.
     """
+    check_modulus(m)
     if cap is not None and cap < 1:
         raise ValueError(f"cap must be positive, got {cap}")
-    n, m = mat.n, mat.m
+    mat = tuple(tuple(x % m for x in row) for row in mat)
+    n = len(mat)
     primes = _prime_factors(m)
     exact = max(primes) ** n <= _FACTOR_LIMIT
     if exact:
         steps = n * m if cap is None else min(cap, n * m)
     else:
         steps = 4 * m * n if cap is None else cap
-    one = ModularMatrix.identity(n, m)
+    one = matrices.identity(n)
     acc = mat
     for k in range(1, steps + 1):
         if acc == one:
             return k
-        acc = acc * mat
+        acc = _mul_mod(acc, mat, m)
     if not exact or (cap is not None and cap <= steps):
         return None
     factors = _exponent_multiple(n, primes)
     order = math.prod(q**f for q, f in factors.items())
-    if mat**order != one:
+    if _pow_mod(mat, order, m) != one:
         return None
     for q, f in factors.items():
         for _ in range(f):
-            if mat ** (order // q) != one:
+            if _pow_mod(mat, order // q, m) != one:
                 break
             order //= q
     return None if cap is not None and order > cap else order
@@ -384,21 +351,16 @@ def check_transvection_model(n: int, m: int, samples: int = 200, seed: int = 0) 
     """
     if n % 2 != 1:
         raise ValueError(f"chain model comparison requires odd strand count, got {n}")
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
+    check_modulus(m)
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     rng = Random(seed)
-    identity = matrices.identity(n - 1)
+    one, chain_one = matrices.identity(n), matrices.identity(n - 1)
     for t in range(samples):
         if t % 2 == 0:
             w = random_word(rng, n, 25)
         else:
             w = _conjugated_powers(rng, n, m)
-        in_full = burau_matrix_mod(w, m).is_identity()
-        in_chain = _chain_matrix_mod(w, m) == tuple(
-            tuple(x % m for x in row) for row in identity
-        )
-        if in_full != in_chain:
+        if (burau_matrix_mod(w, m) == one) != (_chain_matrix_mod(w, m) == chain_one):
             return False
     return True

@@ -139,7 +139,7 @@ def _claim_generator_powers(config: SuiteConfig, rng: Random) -> dict:
             for i in range(1, n):
                 checked += 1
                 w = BraidWord(n, (i,) * m)
-                if not burau_matrix_mod(w, m).is_identity():
+                if not is_identity(burau_matrix_mod(w, m)):
                     failures.append([n, m, i])
     return dict(
         description="m-th powers of the generators lie in the level-m subgroup",
@@ -167,7 +167,7 @@ def _claim_full_twist_orders(config: SuiteConfig, rng: Random) -> dict:
     expected = _full_twist_order_table()
     computed = {}
     for (n, m) in sorted(expected):
-        computed[(n, m)] = order_mod(burau_matrix_mod(full_twist(n), m))
+        computed[(n, m)] = order_mod(burau_matrix_mod(full_twist(n), m), m)
     mismatches = {k: (computed[k], expected[k]) for k in expected if computed[k] != expected[k]}
     return dict(
         description="multiplicative order of the full twist image mod m",

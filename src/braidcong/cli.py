@@ -98,7 +98,7 @@ def _print_element(a: CrystElement) -> None:
 def _cmd_burau(args: argparse.Namespace) -> int:
     w = parse_word(args.word, args.n)
     if args.mod is not None:
-        matrix = burau_matrix_mod(w, args.mod).entries
+        matrix = burau_matrix_mod(w, args.mod)
     else:
         matrix = burau_matrix(w)
     print(format_matrix(matrix))
@@ -138,13 +138,11 @@ def _cmd_image(args: argparse.Namespace) -> int:
     if args.center:
         central = image_center(group)
         payload["center_order"] = len(central)
-        payload["center"] = [
-            [list(row) for row in group.matrix(k).entries] for k in central
-        ]
+        payload["center"] = [[list(row) for row in group.matrix(k)] for k in central]
         if not args.order_only:
             print(f"center order: {len(central)}")
             for k in central:
-                print(format_matrix(group.matrix(k).entries))
+                print(format_matrix(group.matrix(k)))
                 print()
     if args.json:
         _write_json(args.json, payload)

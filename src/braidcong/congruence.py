@@ -10,17 +10,16 @@ against that table, followed by an integer Smith normal form.
 from __future__ import annotations
 
 from array import array
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-from random import Random
 
 from . import matrices
 # mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
 from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
-from .burau import ModularMatrix, _apply_letter, _conjugated_powers, burau_matrix_mod
+from .burau import _apply_letter, burau_matrix_mod
 from .smith import smith_normal_form
-from .words import BraidWord, check_strand_count
+from .words import BraidWord, check_modulus, check_strand_count
 
 __all__ = [
     "LimitExceeded",
@@ -36,7 +35,6 @@ __all__ = [
     "subgroup_coordinates",
     "abelianization",
     "conjugation_action",
-    "divisibility_check",
 ]
 
 
@@ -58,7 +56,7 @@ class LimitExceeded(RuntimeError):
 
 def is_member(w: BraidWord, m: int) -> bool:
     """Whether a word lies in the level-m congruence subgroup."""
-    return burau_matrix_mod(w, m).is_identity()
+    return burau_matrix_mod(w, m) == matrices.identity(w.n)
 
 
 def letter_order(n: int) -> tuple[int, ...]:
@@ -112,8 +110,9 @@ class ImageGroup:
     def size(self) -> int:
         return len(self.elements)
 
-    def matrix(self, k: int) -> ModularMatrix:
-        return ModularMatrix(self.m, tuple(map(self.rows.__getitem__, self.elements[k])))
+    def matrix(self, k: int) -> IntMatrix:
+        """Element k as rows with entries in [0, m)."""
+        return tuple(map(self.rows.__getitem__, self.elements[k]))
 
     @cached_property
     def _row_numbers(self) -> dict[tuple[int, ...], int]:
@@ -124,8 +123,10 @@ class ImageGroup:
         # built on the first lookup; enumerate_image and image_center need none
         return {e: k for k, e in enumerate(self.elements)}
 
-    def index_of(self, mat: ModularMatrix) -> int:
-        key = tuple(map(self._row_numbers.get, mat.entries)) if mat.m == self.m else ()
+    def index_of(self, mat: IntMatrix) -> int:
+        """The number of the element an integer matrix reduces to mod m."""
+        m, row_numbers = self.m, self._row_numbers
+        key = tuple(row_numbers.get(tuple(x % m for x in row)) for row in mat)
         k = self._index.get(key)
         if k is None:
             raise KeyError("matrix is not in the enumerated image")
@@ -175,10 +176,11 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     have about m^(n-1) rows.
     """
     check_strand_count(n)
+    check_modulus(m)
     if element_cap < 1:
         raise ValueError(f"element cap must be positive, got {element_cap}")
     letters = letter_order(n)
-    rows = list(ModularMatrix.identity(n, m).entries)
+    rows = list(matrices.identity(n))
     row_index = {r: k for k, r in enumerate(rows)}
     tables: list[list[int]] = [[] for _ in letters]
     # bound to the growing lists, so they see rows appended later
@@ -335,18 +337,13 @@ class AbelianizationResult:
     right_columns: tuple[SparseVector, ...] = field(repr=False)
     right_inverse_rows: tuple[SparseVector, ...] = field(repr=False)
 
-    def free_coordinates(self, x: SparseVector | Sequence[int]) -> tuple[int, ...]:
+    def free_coordinates(self, x: SparseVector) -> tuple[int, ...]:
         """Project an exponent vector to the free part of the abelianization.
 
-        x is {coordinate: exponent}, as subgroup_coordinates returns, or a
-        dense vector of num_generators entries.
+        x is {coordinate: exponent}, as subgroup_coordinates returns.
         """
         degree = self.num_generators
-        if not isinstance(x, Mapping):
-            if len(x) != degree:
-                raise ValueError(f"length mismatch: {degree} generators vs {len(x)} entries")
-            x = matrices.sparse(x)
-        elif any(not 0 <= k < degree for k in x):
+        if any(not 0 <= k < degree for k in x):
             raise ValueError(f"coordinate out of range 0..{degree - 1}")
         return tuple(
             sum(column.get(k, 0) * e for k, e in x.items())
@@ -523,20 +520,3 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
         tuple(row.get(j, 0) for j in range(k, len(wanted))) for row in conjugated[rank:]
     )
     return ActionMatrix(matrix=free_block, word=w, torsion_leak=tuple(leaks))
-
-
-def divisibility_check(n: int, m: int, k: int, samples: int, seed: int = 0) -> bool:
-    """Sampled containment of the level-k subgroup in the level-m subgroup."""
-    check_strand_count(n)
-    if m < 2 or k % m:
-        raise ValueError(f"need m >= 2 dividing k, got m={m}, k={k}")
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
-    rng = Random(seed)
-    for _ in range(samples):
-        w = _conjugated_powers(rng, n, k)
-        if not is_member(w, k):
-            raise RuntimeError("synthesized word left the level-k subgroup; bug")
-        if not is_member(w, m):
-            return False
-    return True

@@ -38,6 +38,11 @@ def check_strand_count(n: int) -> None:
         raise ValueError(f"strand count must be at least 2, got {n}")
 
 
+def check_modulus(m: int) -> None:
+    if m < 2:
+        raise ValueError(f"modulus must be at least 2, got {m}")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators of the braid group on n strands."""

@@ -6,7 +6,6 @@ import pytest
 
 from braidcong import burau
 from braidcong.burau import (
-    ModularMatrix,
     alternating_covector,
     burau_matrix,
     burau_matrix_mod,
@@ -17,6 +16,7 @@ from braidcong.burau import (
     order_mod,
     transvection_generator,
 )
+from braidcong.congruence import abelianization, enumerate_image, is_member
 from braidcong.matrices import (
     determinant,
     identity,
@@ -80,7 +80,7 @@ def test_word_evaluation_matches_matrix_products():
         assert determinant(product) == 1
         m = rng.randint(2, 9)
         reduced = tuple(tuple(x % m for x in row) for row in product)
-        assert burau_matrix_mod(w, m).entries == reduced
+        assert burau_matrix_mod(w, m) == reduced
 
 
 def test_invariant_vectors():
@@ -92,35 +92,34 @@ def test_invariant_vectors():
         assert mat_vec(transpose(b), alternating_covector(n)) == alternating_covector(n)
 
 
-def test_modular_matrix_type():
-    a = ModularMatrix(5, ((7, -1), (0, 3)))
-    assert a.entries == ((2, 4), (0, 3))
-    assert (a * ModularMatrix.identity(2, 5)).entries == a.entries
-    assert ModularMatrix.identity(2, 5).is_identity()
-    with pytest.raises(ValueError):
-        a * ModularMatrix.identity(2, 3)
-    with pytest.raises(ValueError):
-        burau_matrix_mod(BraidWord(3, (1,)), 1)
-
-
 def test_order_mod_basics():
     tw = burau_matrix_mod(full_twist(3), 3)
-    assert order_mod(tw) == 2
-    assert order_mod(ModularMatrix.identity(4, 7)) == 1
+    assert order_mod(tw, 3) == 2
+    assert order_mod(identity(4), 7) == 1
     # a unipotent element has order m for prime m
     g = burau_matrix_mod(BraidWord(3, (1,)), 5)
-    assert order_mod(g) == 5
+    assert order_mod(g, 5) == 5
+    # the input is reduced first, so integer images need no reduction
+    assert order_mod(generator_matrix(3, 1), 5) == 5
     # cap too small reports None
-    assert order_mod(g, cap=3) is None
+    assert order_mod(g, 5, cap=3) is None
+    for m in (1, 0, -3):
+        with pytest.raises(ValueError, match="modulus must be at least 2"):
+            order_mod(identity(3), m)
 
 
-def _stepped_order(g, cap):
+def _product_mod(a, b, m):
+    # oracle: the exact integer product, then reduced
+    return tuple(tuple(x % m for x in row) for row in mat_mul(a, b))
+
+
+def _stepped_order(g, m, cap):
     # oracle: one multiplication at a time up to the cap
     acc = g
     for k in range(1, cap + 1):
-        if acc.is_identity():
+        if is_identity(acc):
             return k
-        acc = acc * g
+        acc = _product_mod(acc, g, m)
     return None
 
 
@@ -129,12 +128,12 @@ def test_order_mod_is_exact_above_the_old_cap():
     long_orders = 0
     for _ in range(12):
         g = burau_matrix_mod(random_word(rng, 9, 40), 7)
-        k = order_mod(g)
-        assert k == _stepped_order(g, 10**4)
+        k = order_mod(g, 7)
+        assert k == _stepped_order(g, 7, 10**4)
         long_orders += k > 4 * 7 * 9
-        assert order_mod(g, cap=k) == k
+        assert order_mod(g, 7, cap=k) == k
         if k > 1:
-            assert order_mod(g, cap=k - 1) is None
+            assert order_mod(g, 7, cap=k - 1) is None
     assert long_orders > 0
 
 
@@ -143,17 +142,17 @@ def test_order_mod_composite_moduli_and_singular_matrices():
     for n, m in ((3, 8), (4, 9), (4, 12), (3, 25), (5, 6)):
         for _ in range(4):
             g = burau_matrix_mod(random_word(rng, n, 30), m)
-            assert order_mod(g) == _stepped_order(g, 10**4)
+            assert order_mod(g, m) == _stepped_order(g, m, 10**4)
     # the companion matrix of x^3 - x - 1 mod p^e: its order has a p-part
     # from the kernel of reduction mod p, beyond what stepping to 3m reaches
     for m in (32, 27, 25):
-        g = ModularMatrix(m, ((0, 0, 1), (1, 0, 1), (0, 1, 0)))
-        assert order_mod(g) == _stepped_order(g, 10**4) > 3 * m
+        g = ((0, 0, 1), (1, 0, 1), (0, 1, 0))
+        assert order_mod(g, m) == _stepped_order(g, m, 10**4) > 3 * m
     # no power of a matrix that is not invertible mod m is the identity
-    assert order_mod(ModularMatrix(4, ((2, 0), (0, 1)))) is None
-    assert order_mod(ModularMatrix(9, ((3, 1), (0, 1)))) is None
+    assert order_mod(((2, 0), (0, 1)), 4) is None
+    assert order_mod(((3, 1), (0, 1)), 9) is None
     with pytest.raises(ValueError):
-        order_mod(ModularMatrix.identity(3, 5), cap=0)
+        order_mod(identity(3), 5, cap=0)
 
 
 def test_order_mod_steps_only_beyond_the_factoring_limit(monkeypatch):
@@ -164,26 +163,22 @@ def test_order_mod_steps_only_beyond_the_factoring_limit(monkeypatch):
 
     monkeypatch.setattr(burau, "_exponent_multiple", refuse)
     n, m = 13, 29
-    assert order_mod(burau_matrix_mod(BraidWord(n, (1,)), m)) == m
-    assert order_mod(burau_matrix_mod(random_word(Random(133), n, 40), m)) is None
+    assert order_mod(burau_matrix_mod(BraidWord(n, (1,)), m), m) == m
+    assert order_mod(burau_matrix_mod(random_word(Random(133), n, 40), m), m) is None
 
 
 def test_modular_power_matches_repeated_products():
     g = burau_matrix_mod(random_word(Random(132), 4, 20), 5)
-    acc = ModularMatrix.identity(4, 5)
+    acc = identity(4)
     for k in range(12):
-        assert g**k == acc
-        acc = acc * g
+        assert burau._pow_mod(g, k, 5) == acc
+        acc = _product_mod(acc, g, 5)
     with pytest.raises(ValueError):
-        g ** -1
-    with pytest.raises(ValueError):
-        g * ModularMatrix.identity(3, 5)
-    with pytest.raises(ValueError):
-        g * ModularMatrix.identity(4, 7)
+        burau._pow_mod(g, -1, 5)
 
 
 def test_generator_reduces_to_permutation_matrix_mod_two():
-    assert burau_matrix_mod(BraidWord(3, (1,)), 2).entries == (
+    assert burau_matrix_mod(BraidWord(3, (1,)), 2) == (
         (0, 1, 0),
         (1, 0, 0),
         (0, 0, 1),
@@ -211,14 +206,14 @@ def test_full_twist_negates_the_invariant_hyperplane_for_odd_n():
 
 def test_full_twist_order_table():
     for n in (3, 5, 7):
-        assert order_mod(burau_matrix_mod(full_twist(n), 2)) == 1
+        assert order_mod(burau_matrix_mod(full_twist(n), 2), 2) == 1
         for m in range(3, 8):
-            assert order_mod(burau_matrix_mod(full_twist(n), m)) == 2
+            assert order_mod(burau_matrix_mod(full_twist(n), m), m) == 2
     for n in (4, 6):
         for m in (3, 5, 7):
-            assert order_mod(burau_matrix_mod(full_twist(n), m)) == m
+            assert order_mod(burau_matrix_mod(full_twist(n), m), m) == m
         for m in (4, 6):
-            assert order_mod(burau_matrix_mod(full_twist(n), m)) == m // 2
+            assert order_mod(burau_matrix_mod(full_twist(n), m), m) == m // 2
 
 
 def test_invariant_form_witness_small_case():
@@ -318,3 +313,18 @@ def test_transvection_model_rejects_bad_input():
     for samples in (0, -1):
         with pytest.raises(ValueError, match="samples must be positive"):
             check_transvection_model(3, 3, samples=samples)
+
+
+@pytest.mark.parametrize("m", [1, 0, -3])
+def test_every_modulus_below_two_is_rejected(m):
+    w = BraidWord(3, (1, 2))
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        burau_matrix_mod(w, m)
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        is_member(w, m)
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        enumerate_image(3, m)
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        abelianization(3, m)
+    with pytest.raises(ValueError, match="modulus must be at least 2"):
+        check_transvection_model(3, m)

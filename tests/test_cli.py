@@ -290,6 +290,13 @@ def test_strand_counts_below_two_exit_two(capsys):
     assert err.count("strand count must be at least 2") == 2
 
 
+def test_moduli_below_two_exit_two(capsys):
+    assert main(["image", "--n", "3", "--m", "1"]) == 2
+    assert main(["member", "--n", "3", "--word", "1", "--m", "1"]) == 2
+    assert main(["burau", "--n", "3", "--word", "1", "--mod", "1"]) == 2
+    assert capsys.readouterr().err.count("modulus must be at least 2") == 3
+
+
 def test_verify_config_rejects_unknown_keys(capsys, tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("n = 1\n")
