@@ -103,7 +103,7 @@ def _pow_mod(a: IntMatrix, k: int, m: int) -> IntMatrix:
 _FACTOR_LIMIT = 10**12
 
 
-def order_mod(mat: IntMatrix, m: int, cap: int | None = None) -> int | None:
+def order_mod(mat: IntMatrix, m: int) -> int | None:
     """Least k >= 1 with mat^k = identity mod m, or None when none is found.
 
     mat is any square integer matrix; it is reduced mod m once, up front.
@@ -111,31 +111,26 @@ def order_mod(mat: IntMatrix, m: int, cap: int | None = None) -> int | None:
     are found by stepping.  Longer ones are exact too: the order divides a
     known multiple of the exponent of GL_n(Z/m), whose prime factors are
     stripped by powering by squaring.  A matrix that is not invertible mod m
-    has no such k.  Given a cap, an order above it is reported as None.
+    has no such k.
 
     Factoring that multiple by trial division costs up to about p^(n/2)
     steps for the largest prime p dividing m, so the exact search runs only
     while p^n <= 10^12.  Beyond that, orders are found by stepping alone, up
-    to the cap or by default 4 * m * n, and None is reported above it.
+    to 4 * m * n, and None is reported above it.
     """
     check_modulus(m)
-    if cap is not None and cap < 1:
-        raise ValueError(f"cap must be positive, got {cap}")
     mat = tuple(tuple(x % m for x in row) for row in mat)
     n = len(mat)
     primes = _prime_factors(m)
     exact = max(primes) ** n <= _FACTOR_LIMIT
-    if exact:
-        steps = n * m if cap is None else min(cap, n * m)
-    else:
-        steps = 4 * m * n if cap is None else cap
+    steps = n * m if exact else 4 * m * n
     one = matrices.identity(n)
     acc = mat
     for k in range(1, steps + 1):
         if acc == one:
             return k
         acc = _mul_mod(acc, mat, m)
-    if not exact or (cap is not None and cap <= steps):
+    if not exact:
         return None
     factors = _exponent_multiple(n, primes)
     order = math.prod(q**f for q, f in factors.items())
@@ -146,7 +141,7 @@ def order_mod(mat: IntMatrix, m: int, cap: int | None = None) -> int | None:
             if _pow_mod(mat, order // q, m) != one:
                 break
             order //= q
-    return None if cap is not None and order > cap else order
+    return order
 
 
 def _prime_factors(x: int) -> dict[int, int]:

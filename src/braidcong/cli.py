@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 claim failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -263,57 +262,19 @@ def _claim_list(text: str) -> tuple[str, ...]:
     return tuple(t for t in re.split(r"[\s,]+", text) if t)
 
 
-def _parse_config_file(path: str) -> dict:
-    allowed = {f.name for f in dataclasses.fields(SuiteConfig)}
-    values: dict = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in allowed:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown config key {key!r}"
-                    f" (allowed: {', '.join(sorted(allowed))})"
-                )
-            if key == "claims":
-                values[key] = _claim_list(value)
-            else:
-                try:
-                    values[key] = int(value)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: {key} must be an integer, got {value!r}"
-                    ) from None
-    return values
-
-
 def _print_report(report: VerificationReport) -> None:
-    width = max(len(r.claim_id) for r in report.results) if report.results else 10
+    width = max(len(r.claim_id) for r in report.results)
     for r in report.results:
         print(f"{r.claim_id.ljust(width)}  {r.status:<7}  {r.runtime_ms:9.1f} ms")
         if r.status != "pass" and r.detail:
             print(f"{''.ljust(width)}  {r.detail}")
     counts = Counter(r.status for r in report.results)
-    print(
-        f"total: {counts['pass']} pass, {counts['fail']} fail,"
-        f" {counts['skipped']} skipped ({report.total_ms:.0f} ms)"
-    )
+    print(f"total: {counts['pass']} pass, {counts['fail']} fail ({report.total_ms:.0f} ms)")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    values = _parse_config_file(args.config) if args.config else {}
-    if args.seed is not None:
-        values["seed"] = args.seed
-    if args.claims:
-        values["claims"] = _claim_list(args.claims)
-    if args.cap is not None:
-        values["element_cap"] = args.cap
-    report = run_suite(SuiteConfig(**values))
+    claims = _claim_list(args.claims) if args.claims is not None else None
+    report = run_suite(SuiteConfig(seed=args.seed, claims=claims))
     _print_report(report)
     if args.json:
         _write_json(args.json, report.to_json_dict())
@@ -395,10 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_cryst_quotient_check)
 
     p = sub.add_parser("verify", parents=[common_json], help="run the verification suite")
-    p.add_argument("--config", metavar="FILE", help="key=value config file")
-    p.add_argument("--seed", type=int, help="override the suite seed")
+    p.add_argument("--seed", type=int, default=SuiteConfig.seed, help="suite seed")
     p.add_argument("--claims", help="comma-separated claim ids or prefixes")
-    p.add_argument("--cap", type=int, help="override the element cap")
     p.set_defaults(handler=_cmd_verify)
 
     return parser

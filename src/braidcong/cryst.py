@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+from .congruence import artin_relators
 from .matrices import IntMatrix
 from .smith import solve_integer
 from .words import (
@@ -332,12 +333,7 @@ def power_map_is_homomorphism(n: int, m: int) -> bool:
     check_strand_count(n)
     if m < 1:
         raise ValueError(f"power must be positive, got {m}")
-    relations = [((i, i + 1, i), (i + 1, i, i + 1)) for i in range(1, n - 1)]
-    relations += [((i, j), (j, i)) for i in range(1, n - 1) for j in range(i + 2, n)]
-    return all(
-        _letterwise_power(BraidWord(n, lhs), m) == _letterwise_power(BraidWord(n, rhs), m)
-        for lhs, rhs in relations
-    )
+    return all(_letterwise_power(rel, m).is_identity() for rel in artin_relators(n))
 
 
 def _power_offset(n: int, m: int, perm: Permutation) -> LinkingVector:

@@ -1,6 +1,10 @@
 """The verification suite: run_suite names each claim and gives its verdict."""
 
+import pytest
+
+from braidcong import claims
 from braidcong.claims import CLAIMS, SuiteConfig, run_suite
+from braidcong.congruence import LimitExceeded
 
 
 def test_seed_2026_suite_fails_only_the_plain_additivity_claim():
@@ -20,3 +24,12 @@ def test_seed_2026_suite_fails_only_the_plain_additivity_claim():
     seeds = {r.claim_id[:3]: r.seed for r in report.results if r.seed}
     assert seeds == {t: f"2026:{t}" for t in ("c03", "c04", "c10", "c11", "c12", "c13")}
 
+
+def test_an_exception_inside_a_claim_propagates(monkeypatch):
+    # every claim computes its answer exactly; there is no skipped status
+    def over_the_limit(config, rng):
+        raise LimitExceeded("element cap 10 exceeded")
+
+    monkeypatch.setattr(claims, "CLAIMS", (("c06-image-orders", over_the_limit),))
+    with pytest.raises(LimitExceeded, match="element cap 10"):
+        run_suite(SuiteConfig(claims=("c06",)))
