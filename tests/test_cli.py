@@ -1,6 +1,8 @@
 """Command-line surface: parsing, subcommands, exit codes, reports."""
 
 import json
+import re
+import shlex
 from random import Random
 
 import pytest
@@ -276,3 +278,186 @@ def test_usage_errors_exit_two():
     with pytest.raises(SystemExit) as err:
         main(["nonsense"])
     assert err.value.code == 2
+
+
+_TIMED = re.compile(r" *\d+(\.\d+)? ms")
+_NF_4 = {"1,2": -1, "1,3": 0, "1,4": 0, "2,3": 0, "2,4": 0, "3,4": 0}
+_CENTER_33 = [[[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 2], [2, 0, 2], [2, 1, 1]]]
+_IMAGE_33 = {"center": _CENTER_33, "center_order": 2, "m": 3, "n": 3, "order": 24}
+_NOTE = (
+    "note: the reduction obeys the twisted rule class(ab) = pair_action(perm(b))"
+    " . class(a) + class(b); plain additivity fails off the lattice\n"
+)
+_C01 = {
+    "computed": {"checked": 162, "failures": []},
+    "description": "m-th powers of the generators lie in the level-m subgroup",
+    "detail": "",
+    "expected": {"checked": 162, "failures": []},
+    "id": "c01-generator-power-kernel",
+    "parameters": {"m": "2..7", "n": "3..8"},
+    "seed": "",
+    "status": "pass",
+}
+_C05 = {
+    "computed": {"nontrivial": []},
+    "description": "even chain twist powers act trivially over the integers",
+    "detail": "",
+    "expected": {"nontrivial": []},
+    "id": "c05-torelli-chain-kernel",
+    "parameters": {"cases": ["3,2", "4,2", "5,2", "5,4", "6,4", "7,4"]},
+    "seed": "",
+    "status": "pass",
+}
+_PINNED = [
+    (
+        "burau --n 3 --word '1 2 -1'",
+        0,
+        "[  2  -2  1 ]\n[  0   1  0 ]\n[ -1   2  0 ]\n",
+        "",
+        {"matrix": [[2, -2, 1], [0, 1, 0], [-1, 2, 0]], "mod": None, "n": 3, "word": "1 2 -1"},
+    ),
+    (
+        "burau --n 3 --word '1 1 1' --mod 3",
+        0,
+        "[ 1  0  0 ]\n[ 0  1  0 ]\n[ 0  0  1 ]\n",
+        "",
+        {"matrix": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "mod": 3, "n": 3, "word": "1 1 1"},
+    ),
+    (
+        "member --n 3 --word '1 1' --m 2",
+        0,
+        "true\n",
+        "",
+        {"m": 2, "member": True, "n": 3, "word": "1 1"},
+    ),
+    (
+        "image --n 3 --m 3 --center",
+        0,
+        "image of the 3-strand braid group mod 3\norder: 24\ncenter order: 2\n"
+        "[ 1  0  0 ]\n[ 0  1  0 ]\n[ 0  0  1 ]\n\n[ 1  1  2 ]\n[ 2  0  2 ]\n[ 2  1  1 ]\n\n",
+        "",
+        _IMAGE_33,
+    ),
+    ("image --n 3 --m 3 --center --order-only", 0, "24\n", "", _IMAGE_33),
+    (
+        "image --n 3 --m 3 --cap 5",
+        2,
+        "",
+        "error: cap exceeded: image of (3, 3) exceeds the element cap 5; partial size 5\n",
+        None,
+    ),
+    ("image --n 3 --m 1", 2, "", "error: modulus must be at least 2, got 1\n", None),
+    (
+        "abelianization --n 3 --m 4",
+        0,
+        "n: 3\nm: 4\nindex: 48\nschreier_generators: 96\ninvariant_factors: []\nfree_rank: 6\n",
+        "",
+        {
+            "free_rank": 6,
+            "index": 48,
+            "invariant_factors": [],
+            "m": 4,
+            "n": 3,
+            "schreier_generators": 96,
+        },
+    ),
+    (
+        "abelianization --n 3 --m 4 --cap 5",
+        2,
+        "",
+        "error: cap exceeded: index of (3, 4) exceeds the coset cap 5; partial size 5\n",
+        None,
+    ),
+    (
+        "cryst nf --n 4 --word '1 2 -1 3'",
+        0,
+        "permutation: 4 2 1 3\nlinking: (1,2)=-1 (1,3)=0 (1,4)=0 (2,3)=0 (2,4)=0 (3,4)=0\n",
+        "",
+        {"linking": _NF_4, "n": 4, "permutation": [4, 2, 1, 3], "word": "1 2 -1 3"},
+    ),
+    (
+        "cryst order --n 3 --word '1 2 -1'",
+        0,
+        "infinite\n",
+        "",
+        {"n": 3, "order": None, "word": "1 2 -1"},
+    ),
+    (
+        "cryst power --n 3 --m 3 --word '1 2'",
+        0,
+        "permutation: 3 1 2\nlinking: (1,2)=0 (1,3)=1 (2,3)=1\n",
+        "",
+        {
+            "linking": {"1,2": 0, "1,3": 1, "2,3": 1},
+            "m": 3,
+            "n": 3,
+            "permutation": [3, 1, 2],
+            "word": "1 2",
+        },
+    ),
+    (
+        "cryst power --n 3 --m 2 --word 1",
+        2,
+        "",
+        "error: the power map is an endomorphism only for odd m, got 2\n",
+        None,
+    ),
+    (
+        "cryst quotient-check --n 3 --m 3 --samples 40 --seed 7",
+        1,
+        "relations hold on power images: True\nlattice generators scale by m: True\n"
+        "additive failures: 20 / 40\n" + _NOTE + "status: fail\n",
+        "",
+        {
+            "additive_failures": 20,
+            "first_failure": {"lhs": [1, 1, 0], "rhs": [2, 1, 2]},
+            "lattice_scaling": True,
+            "m": 3,
+            "n": 3,
+            "relations_hold": True,
+            "samples": 40,
+            "seed": 7,
+            "status": "fail",
+        },
+    ),
+    (
+        "cryst quotient-check --n 3 --m 3 --samples 0",
+        2,
+        "",
+        "error: samples must be positive, got 0\n",
+        None,
+    ),
+    (
+        "verify --claims c01,c05",
+        0,
+        "c01-generator-power-kernel  pass <t> ms\n"
+        "c05-torelli-chain-kernel    pass <t> ms\n"
+        "total: 2 pass, 0 fail ( <t> ms)\n",
+        "",
+        {
+            "claims": [_C01, _C05],
+            "meta": {
+                "claims_selected": ["c01-generator-power-kernel", "c05-torelli-chain-kernel"],
+                "seed": 2026,
+                "version": "0.1.0",
+            },
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "command, code, out, err, report", _PINNED, ids=[case[0] for case in _PINNED]
+)
+def test_command_output_is_pinned(capsys, tmp_path, command, code, out, err, report):
+    """Exit code, stdout, stderr and JSON of each command, timing fields masked."""
+    path = tmp_path / "report.json"
+    assert main(shlex.split(command) + ["--json", str(path)]) == code
+    printed = capsys.readouterr()
+    assert _TIMED.sub(" <t> ms", printed.out) == out
+    assert printed.err == err
+    data = json.loads(path.read_text()) if path.exists() else None
+    if data is not None:
+        data.pop("runtime_ms", None)
+        data.pop("timing", None)
+    assert data == report
