@@ -2,14 +2,14 @@
 
 Each claim is an executable check of one verified statement about the
 congruence and crystallographic structures, with fixed parameters and a
-deterministic derived seed.  A claim function takes the suite config and a
-generator that run_suite seeds from the suite seed and the claim's tag (the
-id up to its first hyphen); the report gives that seed exactly when the claim
-drew from the generator.  A claim function returns what it computed and
-what the statement predicts; run_suite names the result from CLAIMS and
-passes it exactly when computed == expected.  Every claim has fixed
-parameters small enough to compute exactly, so each result is a pass or a
-fail; an exception raised inside a claim is a bug and propagates.
+deterministic derived seed.  A claim function takes only a generator, which
+run_suite seeds from the suite seed and the claim's tag (the id up to its
+first hyphen); the report gives that seed exactly when the claim drew from
+the generator.  A claim function returns what it computed and what the
+statement predicts; run_suite names the result from CLAIMS and passes it
+exactly when computed == expected.  Every claim has fixed parameters small
+enough to compute exactly, so each result is a pass or a fail; an exception
+raised inside a claim is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -131,7 +131,7 @@ class VerificationReport:
         }
 
 
-def _claim_generator_powers(config: SuiteConfig, rng: Random) -> dict:
+def _claim_generator_powers(rng: Random) -> dict:
     failures = []
     checked = 0
     for n in range(3, 9):
@@ -163,7 +163,7 @@ def _full_twist_order_table() -> dict[tuple[int, int], int]:
     return table
 
 
-def _claim_full_twist_orders(config: SuiteConfig, rng: Random) -> dict:
+def _claim_full_twist_orders(rng: Random) -> dict:
     expected = _full_twist_order_table()
     computed = {}
     for (n, m) in sorted(expected):
@@ -178,7 +178,7 @@ def _claim_full_twist_orders(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_level_two_purity(config: SuiteConfig, rng: Random) -> dict:
+def _claim_level_two_purity(rng: Random) -> dict:
     words = 0
     failures = []
     for n in range(3, 7):
@@ -195,7 +195,7 @@ def _claim_level_two_purity(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_pure_squares_level_four(config: SuiteConfig, rng: Random) -> dict:
+def _claim_pure_squares_level_four(rng: Random) -> dict:
     failures = []
     for n in (3, 4, 5):
         for _ in range(200):
@@ -210,7 +210,7 @@ def _claim_pure_squares_level_four(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_torelli_chains(config: SuiteConfig, rng: Random) -> dict:
+def _claim_torelli_chains(rng: Random) -> dict:
     cases = [(3, 2), (4, 2), (5, 2), (5, 4), (6, 4), (7, 4)]
     bad = [
         [n, k]
@@ -225,7 +225,7 @@ def _claim_torelli_chains(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_image_orders(config: SuiteConfig, rng: Random) -> dict:
+def _claim_image_orders(rng: Random) -> dict:
     def sl2_order(p: int) -> int:
         return p * (p - 1) * (p + 1)
 
@@ -248,7 +248,7 @@ def _claim_image_orders(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_abelianization_ranks(config: SuiteConfig, rng: Random) -> dict:
+def _claim_abelianization_ranks(rng: Random) -> dict:
     expected = {"3,2": [3, []], "3,3": [4, []], "3,4": [6, []]}
     computed = {}
     for key in sorted(expected):
@@ -263,7 +263,7 @@ def _claim_abelianization_ranks(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_conjugation_action(config: SuiteConfig, rng: Random) -> dict:
+def _claim_conjugation_action(rng: Random) -> dict:
     twist = full_twist(3)
     results = {}
     for m in (3, 4):
@@ -290,7 +290,7 @@ def _claim_conjugation_action(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_center_holonomy(config: SuiteConfig, rng: Random) -> dict:
+def _claim_center_holonomy(rng: Random) -> dict:
     group = enumerate_image(3, 3)
     center = image_center(group)
     twist_mat = burau_matrix_mod(full_twist(3), 3)
@@ -321,7 +321,7 @@ def _random_element(rng: Random, n: int, max_length: int = 12) -> CrystElement:
     return normal_form(random_word(rng, n, max_length))
 
 
-def _claim_power_map_structure(config: SuiteConfig, rng: Random) -> dict:
+def _claim_power_map_structure(rng: Random) -> dict:
     cases = [(3, 3), (3, 5), (4, 3), (5, 3)]
     computed: dict[str, object] = {
         f"homomorphism_{n}_{m}": power_map_is_homomorphism(n, m) for (n, m) in cases
@@ -367,7 +367,7 @@ def _claim_power_map_structure(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_cohopf_witness(config: SuiteConfig, rng: Random) -> dict:
+def _claim_cohopf_witness(rng: Random) -> dict:
     sigma_class = normal_form(BraidWord(3, (1,)))
     witness = not in_power_image(3, 3, sigma_class)
     injective = True
@@ -387,7 +387,7 @@ def _claim_cohopf_witness(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_normal_form_soundness(config: SuiteConfig, rng: Random) -> dict:
+def _claim_normal_form_soundness(rng: Random) -> dict:
     mult_failures = 0
     for _ in range(1000):
         n = rng.randint(3, 6)
@@ -431,7 +431,7 @@ def _claim_normal_form_soundness(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-def _claim_transvection_agreement(config: SuiteConfig, rng: Random) -> dict:
+def _claim_transvection_agreement(rng: Random) -> dict:
     computed = {}
     for (n, m) in [(3, 2), (3, 3), (5, 2), (5, 3)]:
         computed[f"{n},{m}"] = check_transvection_model(
@@ -446,7 +446,7 @@ def _claim_transvection_agreement(config: SuiteConfig, rng: Random) -> dict:
     )
 
 
-CLAIMS: tuple[tuple[str, Callable[[SuiteConfig, Random], dict]], ...] = (
+CLAIMS: tuple[tuple[str, Callable[[Random], dict]], ...] = (
     ("c01-generator-power-kernel", _claim_generator_powers),
     ("c02-full-twist-order", _claim_full_twist_orders),
     ("c03-level-two-is-pure", _claim_level_two_purity),
@@ -475,7 +475,7 @@ def run_suite(config: SuiteConfig | None = None) -> VerificationReport:
         seed = f"{config.seed}:{claim_id.partition('-')[0]}"
         rng = Random(seed)
         fresh = rng.getstate()
-        fields = runner(config, rng)
+        fields = runner(rng)
         status = "pass" if fields["computed"] == fields["expected"] else "fail"
         result = ClaimResult(claim_id=claim_id, status=status, **fields)
         result.runtime_ms = (time.perf_counter() - t0) * 1000.0

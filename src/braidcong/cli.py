@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: burau, member, image, abelianization, cryst, verify.
+Subcommands: burau, member, image, abelianization, cryst, verify.  Each
+handler prints its output and returns an exit code and a report; main
+writes the report to the --json path, if one is given.
 Exit codes: 0 success, 1 claim failure, 2 usage or configuration error.
 """
 
@@ -12,6 +14,7 @@ import re
 import sys
 import time
 from collections import Counter
+from random import Random
 
 from . import __version__
 from .burau import burau_matrix, burau_matrix_mod
@@ -32,7 +35,7 @@ from .cryst import (
     power_map_is_homomorphism,
     power_map_scales_lattice,
 )
-from .words import BraidWord, LinkingVector, pair_list, random_word
+from .words import BraidWord, pair_list, random_word
 
 _TOKEN = re.compile(r"[^\s,]+")
 _INTEGER = re.compile(r"[+-]?\d+")
@@ -82,51 +85,37 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write("\n")
 
 
-def _linking_json(vec: LinkingVector) -> dict:
+def _element_report(a: CrystElement) -> dict:
+    """Print an element's permutation and linking lines; return them as JSON fields."""
+    pairs = pair_list(a.n)
+    print("permutation:", " ".join(str(x) for x in a.perm.images))
+    print("linking:", " ".join(f"({p.i},{p.j})={a.vec.coordinate(p)}" for p in pairs))
     return {
-        f"{p.i},{p.j}": vec.coordinate(p) for p in pair_list(vec.n)
+        "permutation": list(a.perm.images),
+        "linking": {f"{p.i},{p.j}": a.vec.coordinate(p) for p in pairs},
     }
 
 
-def _print_element(a: CrystElement) -> None:
-    print("permutation:", " ".join(str(x) for x in a.perm.images))
-    parts = [f"({p.i},{p.j})={a.vec.coordinate(p)}" for p in pair_list(a.n)]
-    print("linking:", " ".join(parts))
-
-
-def _cmd_burau(args: argparse.Namespace) -> int:
+def _cmd_burau(args: argparse.Namespace) -> tuple[int, dict]:
     w = parse_word(args.word, args.n)
-    if args.mod is not None:
-        matrix = burau_matrix_mod(w, args.mod)
-    else:
-        matrix = burau_matrix(w)
+    matrix = burau_matrix(w) if args.mod is None else burau_matrix_mod(w, args.mod)
     print(format_matrix(matrix))
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "n": args.n,
-                "word": format_word(w),
-                "mod": args.mod,
-                "matrix": [list(row) for row in matrix],
-            },
-        )
-    return 0
+    return 0, {
+        "n": args.n,
+        "word": format_word(w),
+        "mod": args.mod,
+        "matrix": [list(row) for row in matrix],
+    }
 
 
-def _cmd_member(args: argparse.Namespace) -> int:
+def _cmd_member(args: argparse.Namespace) -> tuple[int, dict]:
     w = parse_word(args.word, args.n)
     member = is_member(w, args.m)
     print("true" if member else "false")
-    if args.json:
-        _write_json(
-            args.json,
-            {"n": args.n, "m": args.m, "word": format_word(w), "member": member},
-        )
-    return 0
+    return 0, {"n": args.n, "m": args.m, "word": format_word(w), "member": member}
 
 
-def _cmd_image(args: argparse.Namespace) -> int:
+def _cmd_image(args: argparse.Namespace) -> tuple[int, dict]:
     group = enumerate_image(args.n, args.m, element_cap=args.cap)
     payload: dict = {"n": args.n, "m": args.m, "order": group.size}
     if args.order_only:
@@ -143,12 +132,10 @@ def _cmd_image(args: argparse.Namespace) -> int:
             for k in central:
                 print(format_matrix(group.matrix(k)))
                 print()
-    if args.json:
-        _write_json(args.json, payload)
-    return 0
+    return 0, payload
 
 
-def _cmd_abelianization(args: argparse.Namespace) -> int:
+def _cmd_abelianization(args: argparse.Namespace) -> tuple[int, dict]:
     t0 = time.perf_counter()
     ab = abelianization(args.n, args.m, coset_cap=args.cap)
     runtime_ms = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -163,57 +150,28 @@ def _cmd_abelianization(args: argparse.Namespace) -> int:
     }
     for key in ("n", "m", "index", "schreier_generators", "invariant_factors", "free_rank"):
         print(f"{key}: {payload[key]}")
-    if args.json:
-        _write_json(args.json, payload)
-    return 0
+    return 0, payload
 
 
-def _cmd_cryst_nf(args: argparse.Namespace) -> int:
-    a = normal_form(parse_word(args.word, args.n))
-    _print_element(a)
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "n": args.n,
-                "word": args.word,
-                "permutation": list(a.perm.images),
-                "linking": _linking_json(a.vec),
-            },
-        )
-    return 0
+def _cmd_cryst_nf(args: argparse.Namespace) -> tuple[int, dict]:
+    w = parse_word(args.word, args.n)
+    return 0, {"n": args.n, "word": format_word(w), **_element_report(normal_form(w))}
 
 
-def _cmd_cryst_order(args: argparse.Namespace) -> int:
-    a = normal_form(parse_word(args.word, args.n))
-    order = element_order(a)
+def _cmd_cryst_order(args: argparse.Namespace) -> tuple[int, dict]:
+    w = parse_word(args.word, args.n)
+    order = element_order(normal_form(w))
     print("infinite" if order is None else order)
-    if args.json:
-        _write_json(args.json, {"n": args.n, "word": args.word, "order": order})
-    return 0
+    return 0, {"n": args.n, "word": format_word(w), "order": order}
 
 
-def _cmd_cryst_power(args: argparse.Namespace) -> int:
-    a = normal_form(parse_word(args.word, args.n))
-    image = power_endomorphism(args.n, args.m, a)
-    _print_element(image)
-    if args.json:
-        _write_json(
-            args.json,
-            {
-                "n": args.n,
-                "m": args.m,
-                "word": args.word,
-                "permutation": list(image.perm.images),
-                "linking": _linking_json(image.vec),
-            },
-        )
-    return 0
+def _cmd_cryst_power(args: argparse.Namespace) -> tuple[int, dict]:
+    w = parse_word(args.word, args.n)
+    image = power_endomorphism(args.n, args.m, normal_form(w))
+    return 0, {"n": args.n, "m": args.m, "word": format_word(w), **_element_report(image)}
 
 
-def _cmd_cryst_quotient_check(args: argparse.Namespace) -> int:
-    from random import Random
-
+def _cmd_cryst_quotient_check(args: argparse.Namespace) -> tuple[int, dict]:
     if args.samples < 1:
         raise ValueError(f"samples must be positive, got {args.samples}")
     rng = Random(args.seed)
@@ -252,9 +210,7 @@ def _cmd_cryst_quotient_check(args: argparse.Namespace) -> int:
             " plain additivity fails off the lattice"
         )
     print(f"status: {payload['status']}")
-    if args.json:
-        _write_json(args.json, payload)
-    return 0 if ok else 1
+    return (0 if ok else 1), payload
 
 
 def _claim_list(text: str) -> tuple[str, ...]:
@@ -272,13 +228,11 @@ def _print_report(report: VerificationReport) -> None:
     print(f"total: {counts['pass']} pass, {counts['fail']} fail ({report.total_ms:.0f} ms)")
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     claims = _claim_list(args.claims) if args.claims is not None else None
     report = run_suite(SuiteConfig(seed=args.seed, claims=claims))
     _print_report(report)
-    if args.json:
-        _write_json(args.json, report.to_json_dict())
-    return 0 if report.passed else 1
+    return (0 if report.passed else 1), report.to_json_dict()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,21 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     common_json = argparse.ArgumentParser(add_help=False)
     common_json.add_argument("--json", metavar="PATH", help="write a JSON report to PATH")
+    strands = argparse.ArgumentParser(add_help=False, parents=[common_json])
+    strands.add_argument("--n", type=int, required=True, help="number of strands")
+    word = argparse.ArgumentParser(add_help=False, parents=[strands])
+    word.add_argument("--word", required=True, help="signed generator indices, e.g. '1 2 -1'")
 
-    p = sub.add_parser("burau", parents=[common_json], help="integral Burau matrix of a word")
-    p.add_argument("--n", type=int, required=True, help="number of strands")
-    p.add_argument("--word", required=True, help="signed generator indices, e.g. '1 2 -1'")
+    p = sub.add_parser("burau", parents=[word], help="integral Burau matrix of a word")
     p.add_argument("--mod", type=int, help="reduce entries mod this value")
     p.set_defaults(handler=_cmd_burau)
 
-    p = sub.add_parser("member", parents=[common_json], help="congruence subgroup membership")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--word", required=True)
+    p = sub.add_parser("member", parents=[word], help="congruence subgroup membership")
     p.add_argument("--m", type=int, required=True, help="congruence level")
     p.set_defaults(handler=_cmd_member)
 
-    p = sub.add_parser("image", parents=[common_json], help="enumerate the finite mod-m image")
-    p.add_argument("--n", type=int, required=True)
+    p = sub.add_parser("image", parents=[strands], help="enumerate the finite mod-m image")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--center", action="store_true", help="also compute the center")
     p.add_argument("--order-only", action="store_true", help="print only the order")
@@ -316,9 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_image)
 
     p = sub.add_parser(
-        "abelianization", parents=[common_json], help="abelianization of the level-m subgroup"
+        "abelianization", parents=[strands], help="abelianization of the level-m subgroup"
     )
-    p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--cap", type=int, default=10_000, help="coset cap for the enumeration")
     p.set_defaults(handler=_cmd_abelianization)
@@ -326,30 +278,23 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cryst", help="crystallographic quotient calculus")
     cryst_sub = p.add_subparsers(dest="cryst_command", required=True)
 
-    q = cryst_sub.add_parser("nf", parents=[common_json], help="normal form of a word")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--word", required=True)
+    q = cryst_sub.add_parser("nf", parents=[word], help="normal form of a word")
     q.set_defaults(handler=_cmd_cryst_nf)
 
-    q = cryst_sub.add_parser("order", parents=[common_json], help="order of a word's class")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--word", required=True)
+    q = cryst_sub.add_parser("order", parents=[word], help="order of a word's class")
     q.set_defaults(handler=_cmd_cryst_order)
 
     q = cryst_sub.add_parser(
-        "power", parents=[common_json], help="image under the m-th power endomorphism"
+        "power", parents=[word], help="image under the m-th power endomorphism"
     )
-    q.add_argument("--n", type=int, required=True)
     q.add_argument("--m", type=int, required=True, help="odd exponent")
-    q.add_argument("--word", required=True)
     q.set_defaults(handler=_cmd_cryst_power)
 
     q = cryst_sub.add_parser(
         "quotient-check",
-        parents=[common_json],
+        parents=[strands],
         help="check the mod-m reduction of the power-map quotient",
     )
-    q.add_argument("--n", type=int, required=True)
     q.add_argument("--m", type=int, required=True)
     q.add_argument("--samples", type=int, default=500)
     q.add_argument("--seed", type=int, default=2026)
@@ -367,7 +312,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code, payload = args.handler(args)
+        if args.json:
+            _write_json(args.json, payload)
+        return code
     except WordParseError as exc:
         print(f"error: bad word: {exc}", file=sys.stderr)
         return 2

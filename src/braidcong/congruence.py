@@ -356,8 +356,9 @@ def abelianization(n: int, m: int, coset_cap: int = 10_000) -> AbelianizationRes
 
     Relation rows are the rewritten Artin relators traced from every coset,
     plus one unit row per tree edge; all of the Schreier generators are kept
-    as columns and the Smith normal form absorbs the redundancy; its sparse
-    stage eliminates the tree-edge rows first.  The index is the image order,
+    as columns and the Smith normal form absorbs the redundancy; its one
+    elimination loop takes unit pivots of least fill first, and a tree-edge
+    row has one entry, so it costs nothing.  The index is the image order,
     so the enumeration stops as soon as it passes coset_cap; pass a larger cap
     to override.
     """

@@ -317,6 +317,11 @@ def _letterwise_power(w: BraidWord, m: int) -> CrystElement:
     return normal_form(BraidWord(w.n, tuple(l for letter in w.letters for l in (letter,) * m)))
 
 
+def _require_positive(m: int) -> None:
+    if m < 1:
+        raise ValueError(f"power must be positive, got {m}")
+
+
 def _require_odd(m: int) -> None:
     if m < 1 or m % 2 == 0:
         raise ValueError(
@@ -331,8 +336,7 @@ def power_map_is_homomorphism(n: int, m: int) -> bool:
     it), which is why power_endomorphism refuses even m.
     """
     check_strand_count(n)
-    if m < 1:
-        raise ValueError(f"power must be positive, got {m}")
+    _require_positive(m)
     return all(_letterwise_power(rel, m).is_identity() for rel in artin_relators(n))
 
 
@@ -388,6 +392,7 @@ def power_map_scales_lattice(n: int, m: int) -> bool:
     times), not through power_endomorphism, which assumes this scaling.
     """
     check_strand_count(n)
+    _require_positive(m)
     return all(
         _letterwise_power(pure_generator(n, p.i, p.j), m)
         == CrystElement.lattice(LinkingVector.unit(n, p.i, p.j).scaled(m))

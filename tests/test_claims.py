@@ -27,7 +27,7 @@ def test_seed_2026_suite_fails_only_the_plain_additivity_claim():
 
 def test_an_exception_inside_a_claim_propagates(monkeypatch):
     # every claim computes its answer exactly; there is no skipped status
-    def over_the_limit(config, rng):
+    def over_the_limit(rng):
         raise LimitExceeded("element cap 10 exceeded")
 
     monkeypatch.setattr(claims, "CLAIMS", (("c06-image-orders", over_the_limit),))

@@ -132,6 +132,32 @@ def test_cryst_power_command(capsys):
     assert "odd" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["burau", "--n", "4"],
+        ["member", "--n", "4", "--m", "2"],
+        ["cryst", "nf", "--n", "4"],
+        ["cryst", "order", "--n", "4"],
+        ["cryst", "power", "--n", "4", "--m", "3"],
+    ],
+    ids=["burau", "member", "cryst-nf", "cryst-order", "cryst-power"],
+)
+def test_word_commands_report_the_parsed_word(capsys, tmp_path, argv):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--word", " 1,2 ,-1", "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text())["word"] == "1 2 -1"
+
+
+def test_unwritable_json_path_exits_two(capsys, tmp_path):
+    path = tmp_path / "missing" / "report.json"
+    assert main(["cryst", "nf", "--n", "3", "--word", "1", "--json", str(path)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out.startswith("permutation: 2 1 3\n")
+    assert printed.err.startswith("error: [Errno 2] No such file or directory")
+
 def test_cryst_quotient_check_command(capsys, tmp_path):
     out = tmp_path / "qc.json"
     code = main(

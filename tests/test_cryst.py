@@ -201,6 +201,16 @@ def test_power_map_relations():
     assert not power_map_is_homomorphism(4, 2)
 
 
+@pytest.mark.parametrize("check", [power_map_is_homomorphism, power_map_scales_lattice])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("m", [0, -1])
+def test_power_map_checks_reject_non_positive_powers(check, n, m):
+    # a letter repeated m < 1 times is the empty word, which would make the
+    # check vacuous; n = 2 has no braid relators, so the check runs at entry
+    with pytest.raises(ValueError, match=f"power must be positive, got {m}"):
+        check(n, m)
+
+
 def test_power_endomorphism_rejects_even_exponents():
     a = normal_form(BraidWord(3, (1,)))
     with pytest.raises(ValueError):
