@@ -216,6 +216,23 @@ def test_invariant_form_witness_small_case():
     assert wit.restricted_determinant == 1
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_invariant_form_is_pinned(n):
+    # J[r][c] = +-1 off the diagonal, + on the superdiagonal and alternating
+    # away from it; the restriction is unimodular for odd n, and for even n
+    # its radical lifts to the all-ones vector
+    wit = invariant_form(n)
+    assert wit.form == tuple(
+        tuple(0 if r == c else (1 if c > r else -1) * (-1) ** (abs(c - r) - 1) for c in range(n))
+        for r in range(n)
+    )
+    assert wit.solution_dimension == 1
+    odd = n % 2 == 1
+    assert wit.restricted_determinant == (1 if odd else None)
+    assert wit.radical_basis == (() if odd else (ones_vector(n),))
+    assert wit.radical_fixed is True
+
+
 def test_invariant_form_is_preserved():
     for n in range(3, 8):
         wit = invariant_form(n)
@@ -296,6 +313,14 @@ def test_chain_matrix_matches_the_transvection_product():
             m = rng.randint(2, 12)
             w = random_word(rng, n, 30)
             assert burau._chain_matrix_mod(w, m) == _chain_product_mod(w, m)
+
+
+@pytest.mark.parametrize("n, m", [(3, 3), (5, 2)])
+def test_transvection_check_fails_on_a_wrong_chain_model(monkeypatch, n, m):
+    # a chain model that maps every word to the identity calls every random
+    # word a kernel member, so the comparison must report the disagreement
+    monkeypatch.setattr(burau, "_chain_matrix_mod", lambda w, m: identity(w.n - 1))
+    assert check_transvection_model(n, m) is False
 
 
 def test_transvection_model_rejects_bad_input():

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from braidcong import congruence
+from braidcong import burau, congruence, cryst, words
 from braidcong.congruence import (
     LimitExceeded,
     abelianization,
@@ -97,6 +97,46 @@ def test_strand_counts_below_two_are_rejected():
         for build in (enumerate_image, coset_table, abelianization):
             with pytest.raises(ValueError, match="strand count must be at least 2"):
                 build(n, 3)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: solve_integer(((1, 2),), (1, 2)), "length mismatch: 1 rows vs 2 entries"),
+        (lambda: enumerate_image(3, 3, element_cap=0), "element cap must be positive, got 0"),
+        (lambda: burau.invariant_form(2), "need at least 3 strands, got 2"),
+        (lambda: burau.transvection_generator(3, 3), "generator index 3 out of range for 3 strands"),
+        (
+            lambda: conjugation_action(abelianization(3, 2), BraidWord(4)),
+            "strand count mismatch: 4 vs 3",
+        ),
+        (
+            lambda: cryst.power_quotient_class(4, 3, cryst.normal_form(BraidWord(3, (1,)))),
+            "strand count mismatch: 3 vs 4",
+        ),
+        (
+            lambda: words.conjugated_generator_class(4, 1, 1, 2, 4),
+            "bad indices k=4, i=1, j=2 for n=4",
+        ),
+        (
+            lambda: words.conjugated_generator_class(1, 2, 1, 2, 4),
+            "sign must be \\+1 or -1, got 2",
+        ),
+    ],
+    ids=[
+        "solve_integer-length",
+        "enumerate_image-cap",
+        "invariant_form-strands",
+        "transvection_generator-index",
+        "conjugation_action-strands",
+        "power_quotient_class-strands",
+        "conjugated_generator_class-index",
+        "conjugated_generator_class-sign",
+    ],
+)
+def test_input_checks_raise_their_messages(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 def test_enumeration_respects_cap():
