@@ -198,7 +198,6 @@ class InvariantFormWitness:
 
     n: int
     form: IntMatrix
-    generators: tuple[IntMatrix, ...]
     solution_dimension: int
     restricted_determinant: int | None = None
     radical_basis: tuple[tuple[int, ...], ...] = ()
@@ -215,9 +214,9 @@ def invariant_form(n: int) -> InvariantFormWitness:
     if n < 3:
         raise ValueError(f"need at least 3 strands, got {n}")
     pairs = pair_list(n)
-    gens = tuple(generator_matrix(n, i) for i in range(1, n))
     rows = []
-    for g in gens:
+    for i in range(1, n):
+        g = generator_matrix(n, i)
         for p in pairs:
             row = [0] * len(pairs)
             for a in pairs:
@@ -249,47 +248,23 @@ def invariant_form(n: int) -> InvariantFormWitness:
             if matrices.mat_mul(gt, matrices.mat_mul(form_t, g)) != form_t:
                 raise RuntimeError("candidate form not preserved; construction bug")
 
-    # restrict to the kernel of the alternating covector, basis e_k + e_{k+1}
-    restriction = tuple(
-        tuple(
-            form_t[a][b] + form_t[a][b + 1] + form_t[a + 1][b] + form_t[a + 1][b + 1]
-            for b in range(n - 1)
-        )
-        for a in range(n - 1)
+    # restrict to the kernel of the alternating covector: column k of f is
+    # e_k + e_(k+1), so the restriction is f^T J f and y lifts to f y
+    f = tuple(
+        tuple(1 if r - c in (0, 1) else 0 for c in range(n - 1)) for r in range(n)
     )
+    restriction = matrices.mat_mul(matrices.transpose(f), matrices.mat_mul(form_t, f))
+    witness = dict(n=n, form=form_t, solution_dimension=len(basis))
     if n % 2 == 1:
         det = matrices.determinant(restriction)
-        return InvariantFormWitness(
-            n=n,
-            form=form_t,
-            generators=gens,
-            solution_dimension=len(basis),
-            restricted_determinant=det,
-        )
-    radical = kernel_basis(restriction)
-    lifted = tuple(_lift_kernel_vector(y, n) for y in radical)
+        return InvariantFormWitness(**witness, restricted_determinant=det)
+    lifted = tuple(matrices.mat_vec(f, y) for y in kernel_basis(restriction))
     fixed = all(
         matrices.mat_vec(generator_matrix(n, i), u) == u
         for u in lifted
         for i in range(1, n)
     )
-    return InvariantFormWitness(
-        n=n,
-        form=form_t,
-        generators=gens,
-        solution_dimension=len(basis),
-        radical_basis=lifted,
-        radical_fixed=fixed,
-    )
-
-
-def _lift_kernel_vector(y: tuple[int, ...], n: int) -> tuple[int, ...]:
-    # image of a restricted vector under the basis e_k + e_{k+1} of ker(covector)
-    u = [0] * n
-    for k, c in enumerate(y):
-        u[k] += c
-        u[k + 1] += c
-    return tuple(u)
+    return InvariantFormWitness(**witness, radical_basis=lifted, radical_fixed=fixed)
 
 
 def transvection_generator(n: int, i: int, sign: int = 1) -> IntMatrix:

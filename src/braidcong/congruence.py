@@ -238,9 +238,12 @@ def image_center(group: ImageGroup) -> tuple[int, ...]:
     Each element is tested on its row numbers.  For a positive letter
     sigma_i with table R, g sigma_i = sigma_i g exactly when R fixes every
     row of g but rows i and i+1, maps row i+1 to row i, and maps row i to
-    2 row_i - row_(i+1).
+    2 row_i - row_(i+1).  The last follows from the one before: the block
+    of sigma_i satisfies sigma_i^2 = 2 sigma_i - I (Cayley-Hamilton), so
+    row_i sigma_i = row_(i+1) sigma_i^2 = 2 row_i - row_(i+1), and only
+    the first two are tested.
     """
-    n, m, rows, row_numbers = group.n, group.m, group.rows, group._row_numbers
+    n = group.n
     tests = []
     for letter, table in zip(group.letters, group.row_images):
         if letter > 0:
@@ -252,10 +255,6 @@ def image_center(group: ImageGroup) -> tuple[int, ...]:
             if table[ids[b]] != ids[a] or any(
                 table[ids[r]] != ids[r] for r in others
             ):
-                break
-            top, bottom = rows[ids[a]], rows[ids[b]]
-            twice = tuple((2 * x - y) % m for x, y in zip(top, bottom))
-            if table[ids[a]] != row_numbers.get(twice):
                 break
         else:
             central.append(k)
@@ -373,19 +372,17 @@ def abelianization(n: int, m: int, coset_cap: int = 10_000) -> AbelianizationRes
             partial=err.partial,
             stage="coset",
         ) from err
-    degree = table.size * (n - 1)
-    rows = _relation_rows(table)
-    form = smith_normal_form(rows)
+    form = smith_normal_form(_relation_rows(table))
     return AbelianizationResult(
         n=n,
         m=m,
         table=table,
-        num_generators=degree,
-        num_relations=len(rows),
+        num_generators=form.cols,
+        num_relations=form.rows,
         diagonal=form.diagonal,
         rank=form.rank,
         invariant_factors=form.invariant_factors,
-        free_rank=degree - form.rank,
+        free_rank=form.cols - form.rank,
         right_columns=form.right_columns,
         right_inverse_rows=form.right_inverse_rows,
     )
@@ -432,7 +429,6 @@ class ActionMatrix:
     """
 
     matrix: IntMatrix
-    word: BraidWord
     torsion_leak: tuple[tuple[int, int, int], ...] = ()
 
     def is_identity(self) -> bool:
@@ -520,4 +516,4 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     free_block = tuple(
         tuple(row.get(j, 0) for j in range(k, len(wanted))) for row in conjugated[rank:]
     )
-    return ActionMatrix(matrix=free_block, word=w, torsion_leak=tuple(leaks))
+    return ActionMatrix(matrix=free_block, torsion_leak=tuple(leaks))

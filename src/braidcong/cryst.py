@@ -323,7 +323,8 @@ def _require_positive(m: int) -> None:
 
 
 def _require_odd(m: int) -> None:
-    if m < 1 or m % 2 == 0:
+    _require_positive(m)
+    if m % 2 == 0:
         raise ValueError(
             f"the power map is an endomorphism only for odd m, got {m}"
         )

@@ -257,12 +257,8 @@ def solve_integer(a, b: tuple[int, ...]) -> tuple[int, ...] | None:
 
     With left * a * right = D, x = right y for y solving D y = left b; left b
     comes from replaying the Smith form's row-operation log on b, so left is
-    never built.
+    never built; replaying it checks that b has one entry per row of a.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    if len(b) != nrows:
-        raise ValueError(f"length mismatch: {nrows} rows vs {len(b)} entries")
     s = smith_normal_form(a)
     # y solves D y = left b; then x = right y
     y = {}
@@ -275,15 +271,13 @@ def solve_integer(a, b: tuple[int, ...]) -> tuple[int, ...] | None:
         elif ub:
             return None
     x = sparse_combination(y, s.right_columns)
-    return tuple(x.get(r, 0) for r in range(ncols))
+    return tuple(x.get(r, 0) for r in range(s.cols))
 
 
 def kernel_basis(a) -> tuple[tuple[int, ...], ...]:
     """A basis of the integer kernel lattice {x : a x = 0}."""
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
     s = smith_normal_form(a)
     return tuple(
-        tuple(column.get(r, 0) for r in range(ncols))
+        tuple(column.get(r, 0) for r in range(s.cols))
         for column in s.right_columns[s.rank :]
     )

@@ -429,6 +429,13 @@ _PINNED = [
         None,
     ),
     (
+        "cryst power --n 3 --m -1 --word 1",
+        2,
+        "",
+        "error: power must be positive, got -1\n",
+        None,
+    ),
+    (
         "cryst quotient-check --n 3 --m 3 --samples 40 --seed 7",
         1,
         "relations hold on power images: True\nlattice generators scale by m: True\n"

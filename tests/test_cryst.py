@@ -201,12 +201,34 @@ def test_power_map_relations():
     assert not power_map_is_homomorphism(4, 2)
 
 
-@pytest.mark.parametrize("check", [power_map_is_homomorphism, power_map_scales_lattice])
+def power_endomorphism_of_identity(n, m):
+    return power_endomorphism(n, m, CrystElement.identity(n))
+
+
+def in_power_image_of_identity(n, m):
+    return in_power_image(n, m, CrystElement.identity(n))
+
+
+def power_quotient_class_of_identity(n, m):
+    return power_quotient_class(n, m, CrystElement.identity(n))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        power_map_is_homomorphism,
+        power_map_scales_lattice,
+        power_endomorphism_of_identity,
+        in_power_image_of_identity,
+        power_quotient_class_of_identity,
+    ],
+)
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("m", [0, -1])
 def test_power_map_checks_reject_non_positive_powers(check, n, m):
     # a letter repeated m < 1 times is the empty word, which would make the
-    # check vacuous; n = 2 has no braid relators, so the check runs at entry
+    # check vacuous; n = 2 has no braid relators, so the check runs at entry.
+    # The power map on elements says the same, not that m must be odd
     with pytest.raises(ValueError, match=f"power must be positive, got {m}"):
         check(n, m)
 
