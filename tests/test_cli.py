@@ -402,6 +402,13 @@ _PINNED = [
         {"linking": _NF_4, "n": 4, "permutation": [4, 2, 1, 3], "word": "1 2 -1 3"},
     ),
     (
+        "cryst nf --n 3 --word '1 x'",
+        2,
+        "",
+        "error: bad word: column 3: 'x' is not a signed integer\n",
+        None,
+    ),
+    (
         "cryst order --n 3 --word '1 2 -1'",
         0,
         "infinite\n",
