@@ -37,6 +37,8 @@ def generator_matrix(n: int, i: int, sign: int = 1) -> IntMatrix:
     """Image of the i-th generator (or its inverse) as an exact integer matrix."""
     if not (1 <= i < n):
         raise ValueError(f"generator index {i} out of range for {n} strands")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     if sign > 0:
         rows[i - 1][i - 1 : i + 1] = [2, -1]
@@ -106,7 +108,8 @@ _FACTOR_LIMIT = 10**12
 def order_mod(mat: IntMatrix, m: int) -> int | None:
     """Least k >= 1 with mat^k = identity mod m, or None when none is found.
 
-    mat is any square integer matrix; it is reduced mod m once, up front.
+    mat is any square integer matrix, other shapes raise; it is reduced mod
+    m once, up front.
     Short orders, up to n * m (those of generator powers and full twists),
     are found by stepping.  Longer ones are exact too: the order divides a
     known multiple of the exponent of GL_n(Z/m), whose prime factors are
@@ -119,8 +122,11 @@ def order_mod(mat: IntMatrix, m: int) -> int | None:
     to 4 * m * n, and None is reported above it.
     """
     check_modulus(m)
-    mat = tuple(tuple(x % m for x in row) for row in mat)
     n = len(mat)
+    for r, row in enumerate(mat):
+        if len(row) != n:
+            raise ValueError(f"row {r} has {len(row)} entries, the matrix has {n} rows")
+    mat = tuple(tuple(x % m for x in row) for row in mat)
     primes = _prime_factors(m)
     exact = max(primes) ** n <= _FACTOR_LIMIT
     steps = n * m if exact else 4 * m * n
@@ -276,6 +282,8 @@ def transvection_generator(n: int, i: int, sign: int = 1) -> IntMatrix:
     d = n - 1
     if not (1 <= i <= d):
         raise ValueError(f"generator index {i} out of range for {n} strands")
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign}")
     rows = [[1 if r == c else 0 for c in range(d)] for r in range(d)]
     if i >= 2:
         rows[i - 1][i - 2] = sign

@@ -41,26 +41,20 @@ _TOKEN = re.compile(r"[^\s,]+")
 _INTEGER = re.compile(r"[+-]?\d+")
 
 
-class WordParseError(ValueError):
-    """Raised for malformed word text; the message carries the position."""
-
-
 def parse_word(text: str, n: int) -> BraidWord:
     """Parse signed generator indices separated by whitespace or commas."""
     letters = []
     for match in _TOKEN.finditer(text):
         token, position = match.group(), match.start() + 1
         if not _INTEGER.fullmatch(token):
-            raise WordParseError(
-                f"column {position}: {token!r} is not a signed integer"
-            )
+            raise ValueError(f"bad word: column {position}: {token!r} is not a signed integer")
         value = int(token)
         if value == 0:
-            raise WordParseError(f"column {position}: generator index may not be 0")
+            raise ValueError(f"bad word: column {position}: generator index may not be 0")
         if abs(value) >= n:
-            raise WordParseError(
-                f"column {position}: generator index {value} out of range for n={n}"
-                f" (need |index| <= {n - 1})"
+            raise ValueError(
+                f"bad word: column {position}: generator index {value} out of range"
+                f" for n={n} (need |index| <= {n - 1})"
             )
         letters.append(value)
     return BraidWord(n, tuple(letters))
@@ -316,9 +310,6 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             _write_json(args.json, payload)
         return code
-    except WordParseError as exc:
-        print(f"error: bad word: {exc}", file=sys.stderr)
-        return 2
     except LimitExceeded as exc:
         print(f"error: cap exceeded: {exc}", file=sys.stderr)
         return 2

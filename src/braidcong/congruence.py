@@ -41,17 +41,12 @@ __all__ = [
 class LimitExceeded(RuntimeError):
     """An enumeration or table size cap was hit.
 
-    Carries the partial size and the stage that hit its cap: "image" for the
-    element cap of enumerate_image and coset_table, "coset" for the coset cap
-    of abelianization.
+    The message names the cap, element or coset; partial is the size reached.
     """
 
-    def __init__(
-        self, message: str, partial: int | None = None, stage: str | None = None
-    ):
+    def __init__(self, message: str, partial: int | None = None):
         super().__init__(message)
         self.partial = partial
-        self.stage = stage
 
 
 def is_member(w: BraidWord, m: int) -> bool:
@@ -94,7 +89,7 @@ class ImageGroup:
     the rows met only as images.
 
     The elements are the cosets of the level-m subgroup: coset c is element
-    c - 1, and apply, trace and transversal take 1-based coset numbers.
+    c - 1, and trace and transversal take 1-based coset numbers.
     """
 
     n: int
@@ -143,13 +138,6 @@ class ImageGroup:
     def _check_coset(self, coset: int) -> None:
         if not 1 <= coset <= self.size:
             raise ValueError(f"coset {coset} out of range 1..{self.size}")
-
-    def apply(self, coset: int, letter: int) -> int:
-        """Right action of one letter on a 1-based coset number."""
-        self._check_coset(coset)
-        if letter == 0 or abs(letter) >= self.n:
-            raise ValueError(f"letter {letter} out of range for {self.n} strands")
-        return self.edges[coset - 1][_letter_pos(letter)] + 1
 
     def trace(self, coset: int, w: BraidWord) -> int:
         if w.n != self.n:
@@ -212,7 +200,6 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
                         f"image of ({n}, {m}) exceeds the element cap "
                         f"{element_cap}; partial size {len(states)}",
                         partial=len(states),
-                        stage="image",
                     )
                 target = len(states)
                 index[product] = target
@@ -370,7 +357,6 @@ def abelianization(n: int, m: int, coset_cap: int = 10_000) -> AbelianizationRes
             f"index of ({n}, {m}) exceeds the coset cap {coset_cap}; "
             f"partial size {err.partial}",
             partial=err.partial,
-            stage="coset",
         ) from err
     form = smith_normal_form(_relation_rows(table))
     return AbelianizationResult(

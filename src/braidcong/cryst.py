@@ -428,11 +428,8 @@ def holonomy_faithful(n: int) -> bool:
 
     A permutation that fixes every pair sends strand i into every pair that
     holds i, so the kernel is trivial exactly when, for each i, those pairs
-    meet only in {i}.  Exact for every n: only n = 2 fails.
+    meet only in {i}.  For n >= 3 the pairs {i, j} and {i, k} already do; for
+    n = 2 the one pair {1, 2} is fixed by the swap.  So: faithful iff n >= 3.
     """
     check_strand_count(n)
-    strands = set(range(1, n + 1))
-    pairs = [{p.i, p.j} for p in pair_list(n)]
-    return all(
-        strands.intersection(*(pair for pair in pairs if i in pair)) == {i} for i in strands
-    )
+    return n >= 3

@@ -126,6 +126,8 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # left to right: apply self first, then other
+        if self.n != other.n:
+            raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
         return Permutation(tuple(other.images[i - 1] for i in self.images))
 
     def inverse(self) -> "Permutation":
@@ -393,11 +395,11 @@ def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
     return _checked_word(n, letters)
 
 
-def random_pure_word(rng: Random, n: int, factors: int = 3, conj_length: int = 4) -> BraidWord:
+def random_pure_word(rng: Random, n: int, factors: int = 3) -> BraidWord:
     """Random pure word: a product of conjugated standard pure generators."""
     w = BraidWord(n)
     for _ in range(factors):
-        conj = random_word(rng, n, conj_length)
+        conj = random_word(rng, n, 4)
         i, j = sorted(rng.sample(range(1, n + 1), 2))
         block = conj * pure_generator(n, i, j) ** rng.choice((1, -1)) * conj.inverse()
         w = w * block

@@ -8,7 +8,7 @@ from random import Random
 import pytest
 
 from braidcong.claims import SuiteConfig
-from braidcong.cli import WordParseError, format_word, main, parse_word
+from braidcong.cli import format_word, main, parse_word
 from braidcong.words import random_word
 
 
@@ -21,15 +21,15 @@ def test_parse_word_grammar():
 
 
 def test_parse_word_errors_carry_positions():
-    with pytest.raises(WordParseError, match="column 1"):
+    with pytest.raises(ValueError, match="column 1"):
         parse_word("3", 3)
-    with pytest.raises(WordParseError, match="column 3"):
+    with pytest.raises(ValueError, match="column 3"):
         parse_word("1 0 2", 3)
-    with pytest.raises(WordParseError, match="column 3.*not a signed integer"):
+    with pytest.raises(ValueError, match="column 3.*not a signed integer"):
         parse_word("1 x", 3)
-    with pytest.raises(WordParseError, match="not a signed integer"):
+    with pytest.raises(ValueError, match="not a signed integer"):
         parse_word("1.5", 3)
-    with pytest.raises(WordParseError, match="out of range"):
+    with pytest.raises(ValueError, match="out of range"):
         parse_word("-4", 4)
 
 

@@ -69,8 +69,13 @@ def test_derived_words_equal_the_checked_construction():
             assert type(w.letters) is tuple and w.n == n
     with pytest.raises(ValueError, match="strand count mismatch: 3 vs 4"):
         BraidWord(3, (1,)) * BraidWord(4, (1,))
-    with pytest.raises(ValueError, match="letter 3 is out of range for 3 strands"):
-        BraidWord(3, (3,))
+    with pytest.raises(ValueError, match="strand count mismatch: 3 vs 4"):
+        Permutation.identity(3) * Permutation.identity(4)
+    with pytest.raises(ValueError, match="strand count mismatch: 4 vs 3"):
+        Permutation.identity(4) * Permutation.identity(3)
+    for letter in (0, 3, -3, 7):
+        with pytest.raises(ValueError, match=f"letter {letter} is out of range for 3 strands"):
+            BraidWord(3, (letter,))
     for n in (1, 0):
         with pytest.raises(ValueError, match=f"strand count must be at least 2, got {n}"):
             random_word(Random(1), n, 5)
