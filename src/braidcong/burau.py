@@ -10,6 +10,7 @@ alternating covector on the left.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from operator import mul
 from random import Random
@@ -50,34 +51,45 @@ def generator_matrix(n: int, i: int, sign: int = 1) -> IntMatrix:
 
 
 def burau_matrix(w: BraidWord) -> IntMatrix:
-    """Exact integer image of a braid word; determinant 1 for every word."""
-    out = [list(row) for row in matrices.identity(w.n)]
-    for k in w.letters:
-        _apply_letter(out, k, None)
-    return tuple(tuple(row) for row in out)
+    """Exact integer image of a braid word; determinant 1 for every word.
+
+    A letter at most triples the largest absolute entry, so every entry lies
+    within bound = 3^len(w) of 0 and is the residue mod 2 * bound + 1 that
+    does.
+    """
+    bound = 3 ** len(w)
+    modulus = 2 * bound + 1
+    rows = [list(row) for row in matrices.identity(w.n)]
+    _right_multiply(rows, w.letters, modulus)
+    return tuple(tuple(x - modulus if x > bound else x for x in row) for row in rows)
 
 
-def _apply_letter(rows: list[list[int]], letter: int, m: int | None) -> None:
-    # right-multiply in place by a generator block; only two columns change
-    i = abs(letter) - 1
-    for row in rows:
-        a, b = row[i], row[i + 1]
+def _right_multiply(rows: list[list[int]], letters: Iterable[int], m: int) -> None:
+    # right-multiply the rows in place by each letter's generator block, with
+    # entries reduced into [0, m): a letter changes columns i and i + 1 only,
+    # sigma_(i+1) maps (a, b) to (2a + b, -a) and its inverse to (-b, a + 2b)
+    for letter in letters:
         if letter > 0:
-            row[i], row[i + 1] = 2 * a + b, -a
+            i = letter - 1
+            for row in rows:
+                a = row[i]
+                row[i] = (a + a + row[letter]) % m
+                row[letter] = -a % m
         else:
-            row[i], row[i + 1] = -b, a + 2 * b
-        if m is not None:
-            row[i] %= m
-            row[i + 1] %= m
+            j = -letter
+            i = j - 1
+            for row in rows:
+                b = row[j]
+                row[j] = (row[i] + b + b) % m
+                row[i] = -b % m
 
 
 def burau_matrix_mod(w: BraidWord, m: int) -> IntMatrix:
     """Image of a braid word with entries reduced into [0, m) at every step."""
     check_modulus(m)
-    out = [list(row) for row in matrices.identity(w.n)]
-    for k in w.letters:
-        _apply_letter(out, k, m)
-    return tuple(tuple(row) for row in out)
+    rows = [list(row) for row in matrices.identity(w.n)]
+    _right_multiply(rows, w.letters, m)
+    return tuple(map(tuple, rows))
 
 
 def _mul_mod(a: IntMatrix, b: IntMatrix, m: int) -> IntMatrix:
@@ -294,18 +306,23 @@ def transvection_generator(n: int, i: int, sign: int = 1) -> IntMatrix:
 
 def _chain_matrix_mod(w: BraidWord, m: int) -> IntMatrix:
     # right-multiply in place by each transvection: for letter +-(i+1),
-    # column i-1 gains +-column i and column i+1 loses it
-    d = w.n - 1
-    out = [list(row) for row in matrices.identity(d)]
+    # column i-1 gains +-column i and column i+1 loses it.  Each row carries
+    # a scratch column at either end, so column c sits at c + 1 and the
+    # letters at the ends of the chain need no bounds test
+    rows = [[0, *row, 0] for row in matrices.identity(w.n - 1)]
     for letter in w.letters:
-        i = abs(letter) - 1
-        for row in out:
-            x = row[i] if letter > 0 else -row[i]
-            if i > 0:
-                row[i - 1] = (row[i - 1] + x) % m
-            if i + 1 < d:
-                row[i + 1] = (row[i + 1] - x) % m
-    return tuple(map(tuple, out))
+        if letter > 0:
+            for row in rows:
+                x = row[letter]
+                row[letter - 1] = (row[letter - 1] + x) % m
+                row[letter + 1] = (row[letter + 1] - x) % m
+        else:
+            j = -letter
+            for row in rows:
+                x = row[j]
+                row[j - 1] = (row[j - 1] - x) % m
+                row[j + 1] = (row[j + 1] + x) % m
+    return tuple(tuple(row[1:-1]) for row in rows)
 
 
 def _conjugated_powers(rng: Random, n: int, k: int) -> BraidWord:

@@ -17,7 +17,7 @@ from functools import cached_property
 from . import matrices
 # mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
 from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
-from .burau import _apply_letter, burau_matrix_mod
+from .burau import _right_multiply, burau_matrix_mod
 from .smith import smith_normal_form
 from .words import BraidWord, check_modulus, check_strand_count
 
@@ -66,9 +66,9 @@ def _letter_pos(letter: int) -> int:
 
 def _row_letter(row: tuple[int, ...], letter: int, m: int) -> tuple[int, ...]:
     # one matrix row times a generator image
-    out = [list(row)]
-    _apply_letter(out, letter, m)
-    return tuple(out[0])
+    out = list(row)
+    _right_multiply([out], (letter,), m)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -107,6 +107,8 @@ class ImageGroup:
 
     def matrix(self, k: int) -> IntMatrix:
         """Element k as rows with entries in [0, m)."""
+        if not 0 <= k < self.size:
+            raise ValueError(f"element {k} out of range 0..{self.size - 1}")
         return tuple(map(self.rows.__getitem__, self.elements[k]))
 
     @cached_property

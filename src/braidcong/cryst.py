@@ -31,6 +31,8 @@ from .words import (
     BraidWord,
     LinkingVector,
     Permutation,
+    _checked_permutation,
+    _checked_vector,
     _position,
     check_strand_count,
     pair_action,
@@ -104,12 +106,12 @@ class CrystElement:
         if self.n != other.n:
             raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
         vec = self.vec.permuted(other.perm) + other.vec + _cocycle(self.perm, other.perm)
-        return CrystElement(self.n, self.perm * other.perm, vec)
+        return _checked_element(self.n, self.perm * other.perm, vec)
 
     def inverse(self) -> "CrystElement":
         inv = self.perm.inverse()
         vec = -self.vec.permuted(inv) - _cocycle(self.perm, inv)
-        return CrystElement(self.n, inv, vec)
+        return _checked_element(self.n, inv, vec)
 
     def __pow__(self, k: int) -> "CrystElement":
         if k < 0:
@@ -126,6 +128,16 @@ class CrystElement:
 
     def is_identity(self) -> bool:
         return self.perm.is_identity() and self.vec.is_zero()
+
+
+def _checked_element(n: int, perm: Permutation, vec: LinkingVector) -> CrystElement:
+    # an element from components already known to have n strands, skipping
+    # the check of CrystElement.__post_init__
+    a = object.__new__(CrystElement)
+    object.__setattr__(a, "n", n)
+    object.__setattr__(a, "perm", perm)
+    object.__setattr__(a, "vec", vec)
+    return a
 
 
 def _inversions(perm: Permutation) -> list[tuple[int, int]]:
@@ -159,15 +171,20 @@ def normal_form(w: BraidWord) -> CrystElement:
     images = [0] * n
     for pos, strand in enumerate(seats, start=1):
         images[strand] = pos
-    coords = [0] * pair_count(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            p, q = images[i], images[j]
-            c = counts[i * n + j] + counts[j * n + i] - (p > q)
+    # the pairs of final positions p < q come in coordinate order; the
+    # section crosses strands a, b there once when a > b
+    coords = []
+    for p in range(n):
+        a = seats[p]
+        for q in range(p + 1, n):
+            b = seats[q]
+            c = counts[a * n + b] + counts[b * n + a] - (a > b)
             if c % 2:
                 raise RuntimeError("odd crossing count off the section; internal bug")
-            coords[_position(n, p, q)] = c // 2
-    return CrystElement(n, Permutation(tuple(images)), LinkingVector(n, tuple(coords)))
+            coords.append(c // 2)
+    return _checked_element(
+        n, _checked_permutation(tuple(images)), _checked_vector(n, tuple(coords))
+    )
 
 
 def _cocycle(s: Permutation, t: Permutation) -> LinkingVector:
@@ -179,10 +196,12 @@ def _cocycle(s: Permutation, t: Permutation) -> LinkingVector:
     """
     n = s.n
     coords = [0] * pair_count(n)
+    img = t.images
     for a, b in _inversions(s):
-        if t(a) < t(b):
-            coords[_position(n, t(a), t(b))] = 1
-    return LinkingVector(n, tuple(coords))
+        ta, tb = img[a - 1], img[b - 1]
+        if ta < tb:
+            coords[_position(n, ta, tb)] = 1
+    return _checked_vector(n, tuple(coords))
 
 
 def representative_word(a: CrystElement) -> BraidWord:
@@ -348,7 +367,7 @@ def _power_offset(n: int, m: int, perm: Permutation) -> LinkingVector:
     coords = [0] * pair_count(n)
     for a, b in _inversions(perm):
         coords[_position(n, a, b)] = (m - 1) // 2
-    return LinkingVector(n, tuple(coords))
+    return _checked_vector(n, tuple(coords))
 
 
 def in_power_image(n: int, m: int, a: CrystElement) -> bool:

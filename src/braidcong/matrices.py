@@ -6,12 +6,14 @@ Sparse vectors are dicts {index: entry} that hold no zero entries.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
+from functools import cache
 from itertools import compress
 
 IntMatrix = tuple[tuple[int, ...], ...]
 SparseVector = dict[int, int]
 
 
+@cache
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 

@@ -122,19 +122,21 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, x: int) -> int:
+        if not 1 <= x <= len(self.images):
+            raise ValueError(f"point {x} is out of range 1..{len(self.images)}")
         return self.images[x - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # left to right: apply self first, then other
         if self.n != other.n:
             raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
-        return Permutation(tuple(other.images[i - 1] for i in self.images))
+        return _checked_permutation(tuple(other.images[i - 1] for i in self.images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for x, y in enumerate(self.images, start=1):
             inv[y - 1] = x
-        return Permutation(tuple(inv))
+        return _checked_permutation(tuple(inv))
 
     def is_identity(self) -> bool:
         return all(y == x for x, y in enumerate(self.images, start=1))
@@ -156,6 +158,17 @@ class Permutation:
 
     def order(self) -> int:
         return math.lcm(*self.cycle_type())
+
+
+def _checked_permutation(images: tuple[int, ...]) -> Permutation:
+    """A permutation from images already known to be one of 1..len(images).
+
+    Products, inverses and normal_form's walk skip the sort check of
+    Permutation.__post_init__ this way; Permutation(images) keeps it.
+    """
+    perm = object.__new__(Permutation)
+    object.__setattr__(perm, "images", images)
+    return perm
 
 
 @dataclass(frozen=True, order=True)
@@ -236,17 +249,17 @@ class LinkingVector:
 
     def __add__(self, other: "LinkingVector") -> "LinkingVector":
         self._check(other)
-        return LinkingVector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _checked_vector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "LinkingVector") -> "LinkingVector":
         self._check(other)
-        return LinkingVector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _checked_vector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "LinkingVector":
-        return LinkingVector(self.n, tuple(-a for a in self.coords))
+        return _checked_vector(self.n, tuple(-a for a in self.coords))
 
     def scaled(self, k: int) -> "LinkingVector":
-        return LinkingVector(self.n, tuple(k * a for a in self.coords))
+        return _checked_vector(self.n, tuple(k * a for a in self.coords))
 
     def _check(self, other: "LinkingVector") -> None:
         if self.n != other.n:
@@ -265,7 +278,20 @@ class LinkingVector:
         out = [0] * len(self.coords)
         for x, target in zip(self.coords, pair_action(perm)):
             out[target] = x
-        return LinkingVector(self.n, tuple(out))
+        return _checked_vector(self.n, tuple(out))
+
+
+def _checked_vector(n: int, coords: tuple[int, ...]) -> LinkingVector:
+    """A linking vector from coords already known to have one entry per pair.
+
+    Sums, differences, multiples, permuted vectors and normal_form's walk
+    skip the length check of LinkingVector.__post_init__ this way;
+    LinkingVector(n, coords) keeps it.
+    """
+    vec = object.__new__(LinkingVector)
+    object.__setattr__(vec, "n", n)
+    object.__setattr__(vec, "coords", coords)
+    return vec
 
 
 def permutation(w: BraidWord) -> Permutation:
@@ -386,13 +412,30 @@ def formal_class_word(n: int, factors: tuple[tuple[PairIndex, int], ...]) -> Bra
 
 
 def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
-    """Uniform random word of length 0..max_length."""
+    """Uniform random word of length 0..max_length.
+
+    The letters are rng.choice((1, -1)) * rng.randint(1, n - 1), drawn
+    straight from rng.getrandbits by the rejection loops those two calls run
+    on CPython 3.10 to 3.13: the sign is 2 bits redrawn until below 2, where
+    0 means +1, and the index less one is (n - 1).bit_length() bits redrawn
+    until below n - 1.  So the words, and the state rng is left in, are the
+    same as with the two calls.
+    """
     check_strand_count(n)
     length = rng.randint(0, max_length)
-    letters = tuple(
-        rng.choice((1, -1)) * rng.randint(1, n - 1) for _ in range(length)
-    )
-    return _checked_word(n, letters)
+    bits = rng.getrandbits
+    top = n - 1
+    width = top.bit_length()
+    letters = []
+    for _ in range(length):
+        sign = bits(2)
+        while sign >= 2:
+            sign = bits(2)
+        index = bits(width)
+        while index >= top:
+            index = bits(width)
+        letters.append(-1 - index if sign else index + 1)
+    return _checked_word(n, tuple(letters))
 
 
 def random_pure_word(rng: Random, n: int, factors: int = 3) -> BraidWord:

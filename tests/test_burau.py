@@ -65,6 +65,25 @@ def test_braid_relations_hold():
                 assert mat_mul(a, b) == mat_mul(b, a)
 
 
+def _generator_product(w):
+    # oracle without the letter kernel: one full product per generator matrix
+    product = identity(w.n)
+    for k in w.letters:
+        product = mat_mul(product, generator_matrix(w.n, abs(k), 1 if k > 0 else -1))
+    return product
+
+
+def _kernel_words(rng, n):
+    # the empty word, single end letters, inverse-only words and mixed words
+    yield BraidWord(n)
+    for k in {1, n - 1, -1, -(n - 1)}:
+        yield BraidWord(n, (k,) * 3)
+    for _ in range(8):
+        w = random_word(rng, n, 25)
+        yield w
+        yield BraidWord(n, tuple(-abs(k) for k in w.letters))
+
+
 def test_word_evaluation_matches_matrix_products():
     """Dual route: the in-place column update against explicit products."""
     rng = Random(601)
@@ -72,9 +91,7 @@ def test_word_evaluation_matches_matrix_products():
     for _ in range(60):
         n = rng.randint(3, 6)
         w = random_word(rng, n, 30)
-        product = identity(n)
-        for k in w.letters:
-            product = mat_mul(product, generator_matrix(n, abs(k), 1 if k > 0 else -1))
+        product = _generator_product(w)
         assert burau_matrix(w) == product
         assert is_identity(mat_mul(product, burau_matrix(w.inverse())))
         assert determinant(product) == 1
@@ -317,6 +334,10 @@ def test_chain_matrix_matches_the_transvection_product():
             m = rng.randint(2, 12)
             w = random_word(rng, n, 30)
             assert burau._chain_matrix_mod(w, m) == _chain_product_mod(w, m)
+    for n in (3, 5, 7, 9):
+        for m in (2, 3, 4, 7, 10**9):
+            for w in _kernel_words(rng, n):
+                assert burau._chain_matrix_mod(w, m) == _chain_product_mod(w, m), (w, m)
 
 
 @pytest.mark.parametrize("n, m", [(3, 3), (5, 2)])
@@ -350,3 +371,25 @@ def test_every_modulus_below_two_is_rejected(m):
         abelianization(3, m)
     with pytest.raises(ValueError, match="modulus must be at least 2"):
         check_transvection_model(3, m)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 7, 10**9])
+def test_letter_kernel_matches_the_exact_image_and_the_generator_product(m):
+    rng = Random(2100 + m % 1000)
+    for n in range(2, 9):
+        for w in _kernel_words(rng, n):
+            exact = burau_matrix(w)
+            assert exact == _generator_product(w), w
+            reduced = tuple(tuple(x % m for x in row) for row in exact)
+            assert burau_matrix_mod(w, m) == reduced, (w, m)
+
+
+def test_exact_image_of_long_words_with_large_entries():
+    # the entries of these words grow exponentially with their length, far
+    # past any bound linear in it; those of a generator power grow linearly
+    for w in (BraidWord(3, (1, -2) * 60), BraidWord(4, (1, -2, 3) * 40)):
+        product = _generator_product(w)
+        assert max(abs(x) for row in product for x in row) > 10**20
+        assert burau_matrix(w) == product
+    w = BraidWord(3, (1,) * 200)
+    assert burau_matrix(w) == _generator_product(w) == ((201, -200, 0), (200, -199, 0), (0, 0, 1))

@@ -340,6 +340,14 @@ def test_coset_numbers_outside_the_table_are_rejected():
                 call()
 
 
+def test_element_numbers_outside_the_image_are_rejected():
+    group = enumerate_image(3, 2)
+    assert group.matrix(5) == group.matrix(group.size - 1)
+    for k in (-1, group.size):
+        with pytest.raises(ValueError, match=rf"^element {k} out of range 0\.\.5$"):
+            group.matrix(k)
+
+
 def test_coset_tables_reject_words_on_other_strand_counts():
     t = coset_table(3, 2)
     for w in (BraidWord(4, (1, 1)), BraidWord(4, (3, 3)), BraidWord(5, (1, 2))):

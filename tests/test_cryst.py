@@ -627,3 +627,23 @@ def test_power_offset_matches_the_letterwise_power():
             section = section_word(perm)
             for m in (1, 3, 5, 7, 9):
                 assert _power_offset(n, m, perm) == _letterwise_power(section, m).vec, (perm, m)
+
+
+def test_normal_form_places_each_pair_at_its_final_positions():
+    """The inlined pair position, against the linking-vector oracle with the
+    permutation and the vector compared apart, and against the section times
+    each pure generator, whose vector is that generator's unit vector."""
+    rng = Random(2120)
+    for n in range(2, 8):
+        for _ in range(300):
+            w = random_word(rng, n, 24)
+            a = normal_form(w)
+            perm = permutation(w)
+            assert a.perm == perm
+            assert a.vec == linking_vector(section_word(perm).inverse() * w)
+            assert a == CrystElement(n, Permutation(a.perm.images), LinkingVector(n, a.vec.coords))
+    for n in range(2, 6):
+        for perm in all_permutations(n):
+            for p in pair_list(n):
+                w = section_word(perm) * pure_generator(n, p.i, p.j)
+                assert normal_form(w) == CrystElement(n, perm, LinkingVector.unit(n, p.i, p.j))

@@ -281,3 +281,47 @@ def test_random_pure_words_are_pure():
 def test_all_permutations_counts():
     assert sum(1 for _ in all_permutations(4)) == 24
     assert all(isinstance(p, Permutation) for p in all_permutations(3))
+
+
+def test_random_word_keeps_the_two_call_draw_stream():
+    """The letters come from getrandbits, yet match the choice-times-randint
+    formula draw for draw and leave the generator in the same state."""
+    checked = 0
+    for n in range(2, 13):
+        for length in range(41):
+            seed = 1000 * n + length
+            fast, oracle = Random(seed), Random(seed)
+            for _ in range(3):
+                w = random_word(fast, n, length)
+                size = oracle.randint(0, length)
+                letters = tuple(
+                    oracle.choice((1, -1)) * oracle.randint(1, n - 1) for _ in range(size)
+                )
+                assert w.letters == letters, (n, length)
+                assert fast.getstate() == oracle.getstate(), (n, length)
+                checked += 1
+    assert checked == 11 * 41 * 3
+
+
+def test_permutation_rejects_points_outside_its_range():
+    p = Permutation((2, 1, 3))
+    assert [p(x) for x in (1, 2, 3)] == [2, 1, 3]
+    for x in (0, -1, 4):
+        with pytest.raises(ValueError, match=rf"^point {x} is out of range 1\.\.3$"):
+            p(x)
+
+
+def test_derived_permutations_and_vectors_pass_the_checks():
+    """Products, inverses and vector arithmetic skip the constructor checks;
+    rebuilding each result through the checked constructor gives it back."""
+    rng = Random(2121)
+    for _ in range(300):
+        n = rng.randint(2, 7)
+        p = permutation(random_word(rng, n, 12))
+        q = permutation(random_word(rng, n, 12))
+        for r in (p * q, p.inverse()):
+            assert Permutation(r.images) == r
+        u = LinkingVector(n, tuple(rng.randint(-5, 5) for _ in range(pair_count(n))))
+        v = LinkingVector(n, tuple(rng.randint(-5, 5) for _ in range(pair_count(n))))
+        for x in (u + v, u - v, -u, u.scaled(3), u.permuted(p)):
+            assert LinkingVector(n, x.coords) == x
