@@ -51,17 +51,24 @@ def generator_matrix(n: int, i: int, sign: int = 1) -> IntMatrix:
 
 
 def burau_matrix(w: BraidWord) -> IntMatrix:
-    """Exact integer image of a braid word; determinant 1 for every word.
-
-    A letter at most triples the largest absolute entry, so every entry lies
-    within bound = 3^len(w) of 0 and is the residue mod 2 * bound + 1 that
-    does.
-    """
-    bound = 3 ** len(w)
-    modulus = 2 * bound + 1
+    """Exact integer image of a braid word; determinant 1 for every word."""
+    # the row rule of _right_multiply, exact
     rows = [list(row) for row in matrices.identity(w.n)]
-    _right_multiply(rows, w.letters, modulus)
-    return tuple(tuple(x - modulus if x > bound else x for x in row) for row in rows)
+    for letter in w.letters:
+        if letter > 0:
+            i = letter - 1
+            for row in rows:
+                a = row[i]
+                row[i] = a + a + row[letter]
+                row[letter] = -a
+        else:
+            j = -letter
+            i = j - 1
+            for row in rows:
+                b = row[j]
+                row[j] = row[i] + b + b
+                row[i] = -b
+    return tuple(map(tuple, rows))
 
 
 def _right_multiply(rows: list[list[int]], letters: Iterable[int], m: int) -> None:

@@ -32,7 +32,6 @@ from .words import (
     LinkingVector,
     Permutation,
     _checked_permutation,
-    _checked_vector,
     _position,
     check_strand_count,
     pair_action,
@@ -106,12 +105,12 @@ class CrystElement:
         if self.n != other.n:
             raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
         vec = self.vec.permuted(other.perm) + other.vec + _cocycle(self.perm, other.perm)
-        return _checked_element(self.n, self.perm * other.perm, vec)
+        return CrystElement(self.n, self.perm * other.perm, vec)
 
     def inverse(self) -> "CrystElement":
         inv = self.perm.inverse()
         vec = -self.vec.permuted(inv) - _cocycle(self.perm, inv)
-        return _checked_element(self.n, inv, vec)
+        return CrystElement(self.n, inv, vec)
 
     def __pow__(self, k: int) -> "CrystElement":
         if k < 0:
@@ -128,16 +127,6 @@ class CrystElement:
 
     def is_identity(self) -> bool:
         return self.perm.is_identity() and self.vec.is_zero()
-
-
-def _checked_element(n: int, perm: Permutation, vec: LinkingVector) -> CrystElement:
-    # an element from components already known to have n strands, skipping
-    # the check of CrystElement.__post_init__
-    a = object.__new__(CrystElement)
-    object.__setattr__(a, "n", n)
-    object.__setattr__(a, "perm", perm)
-    object.__setattr__(a, "vec", vec)
-    return a
 
 
 def _inversions(perm: Permutation) -> list[tuple[int, int]]:
@@ -182,8 +171,8 @@ def normal_form(w: BraidWord) -> CrystElement:
             if c % 2:
                 raise RuntimeError("odd crossing count off the section; internal bug")
             coords.append(c // 2)
-    return _checked_element(
-        n, _checked_permutation(tuple(images)), _checked_vector(n, tuple(coords))
+    return CrystElement(
+        n, _checked_permutation(tuple(images)), LinkingVector(n, tuple(coords))
     )
 
 
@@ -201,7 +190,7 @@ def _cocycle(s: Permutation, t: Permutation) -> LinkingVector:
         ta, tb = img[a - 1], img[b - 1]
         if ta < tb:
             coords[_position(n, ta, tb)] = 1
-    return _checked_vector(n, tuple(coords))
+    return LinkingVector(n, tuple(coords))
 
 
 def representative_word(a: CrystElement) -> BraidWord:
@@ -367,7 +356,7 @@ def _power_offset(n: int, m: int, perm: Permutation) -> LinkingVector:
     coords = [0] * pair_count(n)
     for a, b in _inversions(perm):
         coords[_position(n, a, b)] = (m - 1) // 2
-    return _checked_vector(n, tuple(coords))
+    return LinkingVector(n, tuple(coords))
 
 
 def in_power_image(n: int, m: int, a: CrystElement) -> bool:

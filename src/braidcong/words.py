@@ -249,17 +249,17 @@ class LinkingVector:
 
     def __add__(self, other: "LinkingVector") -> "LinkingVector":
         self._check(other)
-        return _checked_vector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return LinkingVector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "LinkingVector") -> "LinkingVector":
         self._check(other)
-        return _checked_vector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return LinkingVector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "LinkingVector":
-        return _checked_vector(self.n, tuple(-a for a in self.coords))
+        return LinkingVector(self.n, tuple(-a for a in self.coords))
 
     def scaled(self, k: int) -> "LinkingVector":
-        return _checked_vector(self.n, tuple(k * a for a in self.coords))
+        return LinkingVector(self.n, tuple(k * a for a in self.coords))
 
     def _check(self, other: "LinkingVector") -> None:
         if self.n != other.n:
@@ -278,20 +278,7 @@ class LinkingVector:
         out = [0] * len(self.coords)
         for x, target in zip(self.coords, pair_action(perm)):
             out[target] = x
-        return _checked_vector(self.n, tuple(out))
-
-
-def _checked_vector(n: int, coords: tuple[int, ...]) -> LinkingVector:
-    """A linking vector from coords already known to have one entry per pair.
-
-    Sums, differences, multiples, permuted vectors and normal_form's walk
-    skip the length check of LinkingVector.__post_init__ this way;
-    LinkingVector(n, coords) keeps it.
-    """
-    vec = object.__new__(LinkingVector)
-    object.__setattr__(vec, "n", n)
-    object.__setattr__(vec, "coords", coords)
-    return vec
+        return LinkingVector(self.n, tuple(out))
 
 
 def permutation(w: BraidWord) -> Permutation:
