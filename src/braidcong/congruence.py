@@ -306,11 +306,18 @@ class AbelianizationResult:
     """Abelian invariants of the level-m subgroup with change-of-basis data.
 
     The subgroup abelianization is Z^free_rank plus one cyclic factor per
-    invariant factor.  Coordinates transform by the right matrix R of the
-    Smith form: for an exponent vector x over the Schreier generators, x R
-    has its torsion coordinates first (positions with nonzero diagonal) and
-    its free coordinates at positions rank.. of the diagonal.  R is kept as
-    sparse columns (right_columns[j] = {k: R[k][j]}) and R^-1 as sparse rows.
+    invariant factor.  The Schreier generators on search tree edges are
+    trivial, so the relation matrix has a column only for each of the others,
+    and coordinates transform by the right matrix R of its Smith form: for an
+    exponent vector x over the Schreier generators, x R has its torsion
+    coordinates first (positions with nonzero diagonal) and its free
+    coordinates at positions rank.. of the diagonal.  R's rows are indexed by
+    Schreier coordinate and the rows of tree coordinates are empty, so tree
+    coordinates project to zero.  R is kept as sparse columns
+    (right_columns[j] = {k: R[k][j]}) and R^-1 as sparse rows
+    (right_inverse_rows[j] = {k: R^-1[j][k]}), both keyed by Schreier
+    coordinate.  num_generators counts all Schreier generators, tree ones
+    included.
     """
 
     n: int
@@ -343,12 +350,12 @@ def abelianization(n: int, m: int, coset_cap: int = 10_000) -> AbelianizationRes
     """Abelianization of the level-m subgroup by Schreier rewriting plus SNF.
 
     Relation rows are the rewritten Artin relators traced from every coset,
-    plus one unit row per tree edge; all of the Schreier generators are kept
-    as columns and the Smith normal form absorbs the redundancy; its one
-    elimination loop takes unit pivots of least fill first, and a tree-edge
-    row has one entry, so it costs nothing.  The index is the image order,
-    so the enumeration stops as soon as it passes coset_cap; pass a larger cap
-    to override.
+    over the Schreier generators off the search tree only: a tree edge's
+    generator is trivial, so its column is dropped instead of being killed by
+    a unit row.  The Smith normal form's one elimination loop takes unit
+    pivots of least fill first.  Its right transforms come back keyed by
+    Schreier coordinate.  The index is the image order, so the enumeration
+    stops as soon as it passes coset_cap; pass a larger cap to override.
     """
     if coset_cap < 1:
         raise ValueError(f"coset cap must be positive, got {coset_cap}")
@@ -360,50 +367,69 @@ def abelianization(n: int, m: int, coset_cap: int = 10_000) -> AbelianizationRes
             f"partial size {err.partial}",
             partial=err.partial,
         ) from err
-    form = smith_normal_form(_relation_rows(table))
+    rows, columns = _relation_rows(table)
+    # n = 2 has no relators, so the column count cannot come from a row
+    form = smith_normal_form(rows, cols=len(columns))
     return AbelianizationResult(
         n=n,
         m=m,
         table=table,
-        num_generators=form.cols,
+        num_generators=table.size * (n - 1),
         num_relations=form.rows,
         diagonal=form.diagonal,
         rank=form.rank,
         invariant_factors=form.invariant_factors,
         free_rank=form.cols - form.rank,
-        right_columns=form.right_columns,
-        right_inverse_rows=form.right_inverse_rows,
+        right_columns=_rekeyed(form.right_columns, columns),
+        right_inverse_rows=_rekeyed(form.right_inverse_rows, columns),
     )
 
 
-def _relation_rows(table: ImageGroup) -> list[array]:
-    # the rewritten relators from every coset, then the tree-edge unit rows,
-    # as dense rows of signed bytes: a relator has six letters at most.  The
-    # tree edge into c kills a generator of its parent, or of c if inverted
+def _rekeyed(vectors: Sequence[SparseVector], columns: list[int]) -> tuple[SparseVector, ...]:
+    # sparse vectors over the relation matrix's columns, keyed by Schreier coordinate
+    return tuple({columns[k]: x for k, x in v.items()} for v in vectors)
+
+
+def _edge_coordinate(n: int, source: int, target: int, letter: int) -> int:
+    # the Schreier coordinate a letter reads on its edge between 0-based
+    # cosets: the generator at the source for sigma_i, at the target for
+    # its inverse, as _rewrite counts them
+    if letter > 0:
+        return source * (n - 1) + letter - 1
+    return target * (n - 1) - letter - 1
+
+
+def _non_tree_coordinates(table: ImageGroup) -> list[int]:
+    # the Schreier coordinates off the search tree, ascending: the tree edge
+    # into coset c, from its parent, carries a trivial generator
     n = table.n
-    degree = table.size * (n - 1)
-    relators = artin_relators(n)
+    tree = bytearray(table.size * (n - 1))
+    for c, (parent, letter) in enumerate(table.parents[1:], start=1):
+        tree[_edge_coordinate(n, parent, c, letter)] = 1
+    return [k for k, on_tree in enumerate(tree) if not on_tree]
+
+
+def _relation_rows(table: ImageGroup) -> tuple[list[array], list[int]]:
+    # the rewritten relators from every coset over the non-tree Schreier
+    # generators, as dense rows of signed bytes (a relator has six letters at
+    # most), and the Schreier coordinate of each column
+    columns = _non_tree_coordinates(table)
+    position = {k: j for j, k in enumerate(columns)}
+    width = len(columns)
+    relators = artin_relators(table.n)
     rows = []
     for c in range(table.size):
         for rel in relators:
             coords, final = _rewrite(table, c, rel.letters)
             if final != c:
                 raise RuntimeError("relator does not fix a coset; table bug")
-            rows.append(_dense_bytes(coords, degree))
-    for c, (parent, letter) in enumerate(table.parents[1:], start=1):
-        if letter > 0:
-            k = parent * (n - 1) + letter - 1
-        else:
-            k = c * (n - 1) - letter - 1
-        rows.append(_dense_bytes({k: 1}, degree))
-    return rows
-
-
-def _dense_bytes(coords: SparseVector, degree: int) -> array:
-    row = array("b", bytes(degree))
-    for k, e in coords.items():
-        row[k] = e
-    return row
+            row = array("b", bytes(width))
+            for k, e in coords.items():
+                j = position.get(k)
+                if j is not None:
+                    row[j] = e
+            rows.append(row)
+    return rows, columns
 
 
 @dataclass(frozen=True)
@@ -449,18 +475,20 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     sparse rows: the free columns, which give the free block and the check
     that the relation lattice is preserved, and the torsion columns, which
     give the torsion leak.  The prefix sums are kept already multiplied by
-    R[:, wanted], as U_c = P(c) R[:, wanted].
+    R[:, wanted], as U_c = P(c) R[:, wanted].  R's rows at tree coordinates
+    are empty, and R^-1 reads theta only at the other coordinates, so theta
+    is formed only there.
     """
     if w.n != ab.n:
         raise ValueError(f"strand count mismatch: {w.n} vs {ab.n}")
     table = ab.table
     n = ab.n
-    degree = ab.num_generators
+    degree = len(ab.right_columns)
     rank = ab.rank
     torsion = [t for t in range(rank) if ab.diagonal[t] > 1]
     wanted = torsion + list(range(rank, degree))
-    # the rows of R[:, wanted], sparse
-    right_wanted: list[SparseVector] = [{} for _ in range(degree)]
+    # the rows of R[:, wanted], sparse, by Schreier coordinate
+    right_wanted: list[SparseVector] = [{} for _ in range(ab.num_generators)]
     for j, t in enumerate(wanted):
         for k, x in ab.right_columns[t].items():
             right_wanted[k][j] = x
@@ -472,22 +500,20 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
         here = y[parent]
         there = edges[here][_letter_pos(letter)]
         row = dict(prefix[parent])
-        # the tree letter's generator, as _rewrite counts it
-        if letter > 0:
-            matrices.add_multiple(row, right_wanted[here * (n - 1) + letter - 1], -1)
-        else:
-            matrices.add_multiple(row, right_wanted[there * (n - 1) - letter - 1], 1)
+        # the tree letter's generator, with its sign
+        generator = right_wanted[_edge_coordinate(n, here, there, letter)]
+        matrices.add_multiple(row, generator, -1 if letter > 0 else 1)
         y.append(there)
         prefix.append(row)
-    # theta R[:, wanted], one row per Schreier generator
-    # s = tau_c sigma_i tau_(c sigma_i)^-1
-    theta_right = []
-    for c, row_c in enumerate(prefix):
-        for i in range(1, n):
-            row = dict(row_c)
-            matrices.add_multiple(row, right_wanted[y[c] * (n - 1) + i - 1], -1)
-            matrices.add_multiple(row, prefix[edges[c][_letter_pos(i)]], 1)
-            theta_right.append(row)
+    # theta R[:, wanted] at each non-tree Schreier generator
+    # s = tau_c sigma_i tau_(c sigma_i)^-1; R^-1 never reads the tree rows
+    theta_right: list[SparseVector] = [{}] * ab.num_generators
+    for s in _non_tree_coordinates(table):
+        c, i = divmod(s, n - 1)
+        row = dict(prefix[c])
+        matrices.add_multiple(row, right_wanted[y[c] * (n - 1) + i], -1)
+        matrices.add_multiple(row, prefix[edges[c][_letter_pos(i + 1)]], 1)
+        theta_right[s] = row
     conjugated = [
         matrices.sparse_combination(row, theta_right) for row in ab.right_inverse_rows
     ]

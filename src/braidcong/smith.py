@@ -90,8 +90,11 @@ class SmithForm:
         return tuple(d for d in self.diagonal if d > 1)
 
 
-def smith_normal_form(matrix) -> SmithForm:
+def smith_normal_form(matrix, cols: int | None = None) -> SmithForm:
     """Diagonalize an integer matrix by unimodular row and column operations.
+
+    cols is the column count.  When it is not given it is read from the
+    first row, so a matrix without rows then has no columns.
 
     One sparse elimination loop.  While a unit entry (+-1) is left, the pivot
     is the unit of least Markowitz cost (row nonzeros - 1) * (column nonzeros
@@ -110,13 +113,20 @@ def smith_normal_form(matrix) -> SmithForm:
     are kept, a unit pass always keeps its pivot, and any other pass either
     keeps it or leaves an entry below d, the least nonzero |entry| it
     started from.
+
+    After a row operation only the entries at the pivot row's keys have
+    changed, so only those are pushed on the heap when they are units; the
+    row's other units are already on it, and a cost that has risen since is
+    re-checked when popped.
     """
     matrix = list(matrix)
     nrows = len(matrix)
-    ncols = len(matrix[0]) if nrows else 0
+    ncols = cols
+    if ncols is None:
+        ncols = len(matrix[0]) if nrows else 0
     for r, row in enumerate(matrix):
         if len(row) != ncols:
-            raise ValueError(f"row {r} has {len(row)} entries, row 0 has {ncols}")
+            raise ValueError(f"row {r} has {len(row)} entries, expected {ncols}")
     rows = [sparse(row) for row in matrix]
     # holders[c]: the rows with a nonzero entry in column c
     holders: list[set[int]] = [set() for _ in range(ncols)]
@@ -189,8 +199,8 @@ def smith_normal_form(matrix) -> SmithForm:
                         del row[k]
                         holders[k].discard(r)
                 log.append((r, p, q))
-                for k, z in row.items():
-                    if z in (1, -1):
+                for k in pivot_row:
+                    if row.get(k) in (1, -1):
                         heapq.heappush(heap, (cost(r, k), r, k))
             # column k minus q_k times column c, for each k in row p; holders[c]
             # now holds the column remainders, so the matrix changes only in

@@ -297,8 +297,8 @@ def pure_generator(n: int, i: int, j: int) -> BraidWord:
     """The standard pure braid word twisting strands i and j once around each other."""
     if not (1 <= i < j <= n):
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    conj = BraidWord(n, tuple(range(j - 1, i, -1)))
-    return conj * BraidWord(n, (i, i)) * conj.inverse()
+    # sigma_(j-1) ... sigma_(i+1) sigma_i^2 sigma_(i+1)^-1 ... sigma_(j-1)^-1
+    return _checked_word(n, (*range(j - 1, i, -1), i, i, *range(-i - 1, -j, -1)))
 
 
 def full_twist(n: int) -> BraidWord:

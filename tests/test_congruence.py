@@ -298,10 +298,24 @@ def test_coset_table_is_the_image():
         assert coset_table(n, m) == enumerate_image(n, m)
 
 
-def _last_letter_relation_rows(table):
-    # the relation rows as built from transversal words: the tree edge into
-    # coset c is the last letter of its transversal, and its parent is found
-    # by walking that letter back
+def _last_letter_tree(table):
+    # the tree coordinates: the tree edge into coset c is the last letter of
+    # its transversal, and its parent is found by walking that letter back
+    n = table.n
+    tree = set()
+    for c in range(1, table.size):
+        last = table.transversals[c][-1]
+        if last > 0:
+            parent = table.trace(c + 1, BraidWord(n, (-last,))) - 1
+            tree.add(parent * (n - 1) + last - 1)
+        else:
+            tree.add(c * (n - 1) - last - 1)
+    return tree
+
+
+def _transversal_relator_rows(table):
+    # every relator conjugated by every transversal word, rewritten over all
+    # Schreier coordinates, tree ones included
     n = table.n
     degree = table.size * (n - 1)
     rows = []
@@ -310,22 +324,41 @@ def _last_letter_relation_rows(table):
         for rel in artin_relators(n):
             coords = subgroup_coordinates(table, tau * rel * tau.inverse())
             rows.append([coords.get(k, 0) for k in range(degree)])
-    for c in range(1, table.size):
-        last = table.transversals[c][-1]
-        if last > 0:
-            parent = table.trace(c + 1, BraidWord(n, (-last,))) - 1
-            k = parent * (n - 1) + last - 1
-        else:
-            k = c * (n - 1) - last - 1
-        rows.append([int(k == j) for j in range(degree)])
     return rows
 
 
 @pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (4, 2), (4, 3)])
 def test_relation_rows_match_the_last_letter_derivation(n, m):
     table = coset_table(n, m)
-    rows = [list(row) for row in congruence._relation_rows(table)]
-    assert rows == _last_letter_relation_rows(table)
+    rows, columns = congruence._relation_rows(table)
+    tree = _last_letter_tree(table)
+    assert columns == [k for k in range(table.size * (n - 1)) if k not in tree]
+    expect = [[row[k] for k in columns] for row in _transversal_relator_rows(table)]
+    assert [list(row) for row in rows] == expect
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (4, 2), (4, 3)])
+def test_abelianization_matches_the_full_relation_matrix(n, m):
+    """Oracle: every Schreier generator a column, one unit row per tree edge."""
+    ab = abelianization(n, m)
+    degree = ab.num_generators
+    rows = _transversal_relator_rows(ab.table)
+    rows += [[int(k == j) for j in range(degree)] for k in sorted(_last_letter_tree(ab.table))]
+    form = smith_normal_form(rows)
+    assert (ab.free_rank, ab.invariant_factors) == (degree - form.rank, form.invariant_factors)
+
+
+@pytest.mark.parametrize("n, m", [(2, 3), (3, 2), (3, 5), (4, 2), (4, 3)])
+def test_tree_coordinates_project_to_zero(n, m):
+    ab = abelianization(n, m)
+    tree = _last_letter_tree(ab.table)
+    assert len(tree) == ab.table.size - 1
+    for k in tree:
+        assert ab.free_coordinates({k: 1}) == (0,) * ab.free_rank
+    for vectors in (ab.right_columns, ab.right_inverse_rows):
+        assert all(tree.isdisjoint(v) for v in vectors)
+    # R^-1 is invertible on the other coordinates, so it reads each of them
+    assert set().union(*ab.right_inverse_rows) == set(range(ab.num_generators)) - tree
 
 
 def test_coset_numbers_outside_the_table_are_rejected():
@@ -403,7 +436,7 @@ def test_subgroup_coordinates_additive_on_members():
 
 def test_abelianization_level_two_matches_pure_braid_rank():
     """Independent oracle: the pure braid group abelianizes to Z^(pairs)."""
-    for n in (3, 4, 5, 6):
+    for n in (2, 3, 4, 5, 6):
         ab = abelianization(n, 2)
         assert ab.free_rank == pair_count(n)
         assert ab.invariant_factors == ()
@@ -447,6 +480,13 @@ def test_abelianization_three_strand_ranks_match_the_closed_form():
         assert ab.free_rank == 2 + _sl2_order(m) // 12
         ranks.append(ab.free_rank)
     assert ranks == [4, 6, 12, 14, 30, 34]
+
+
+def test_three_strand_level_sixteen_rank():
+    # the closed form at index |SL2(Z/16)| = 3072: free rank 2 + 3072/12
+    ab = abelianization(3, 16)
+    assert _sl2_order(16) == ab.table.size == 3072
+    assert (ab.free_rank, ab.invariant_factors) == (258, ())
 
 
 def test_class_vector_of_pure_words_matches_linking_numbers():
@@ -509,45 +549,50 @@ def test_conjugation_action_matches_the_dense_product():
             assert conjugation_action(ab, w).matrix == free_block
 
 
-def test_torsion_leaks_on_a_quotient_with_torsion():
+def _level_two_torsion_quotient():
     """A quotient of the level-2 abelianization whose torsion the action reaches.
 
     At level 2 the free part is Z^3 on the pair generators A_12, A_13, A_23,
     which conjugation permutes.  Adding the relations 3(A_12 - A_13) and
-    3(A_13 - A_23) leaves Z + (Z/3)^2, and no lift of the free generator is
-    fixed by both sigma_1 and sigma_2 modulo 3, so one of them leaks.
+    3(A_13 - A_23) to the relation rows, over the non-tree Schreier
+    generators, leaves Z + (Z/3)^2.
     """
     ab = abelianization(3, 2)
-    degree = ab.num_generators
-    pairs = [
-        _dense(subgroup_coordinates(ab.table, pure_generator(3, i, j)), degree)
-        for i, j in ((1, 2), (1, 3), (2, 3))
-    ]
-    rows = congruence._relation_rows(ab.table)
+    rows, columns = congruence._relation_rows(ab.table)
+    pairs = []
+    for i, j in ((1, 2), (1, 3), (2, 3)):
+        coords = subgroup_coordinates(ab.table, pure_generator(3, i, j))
+        pairs.append([coords.get(k, 0) for k in columns])
     for a, b in ((0, 1), (1, 2)):
         rows.append([3 * (x - y) for x, y in zip(pairs[a], pairs[b])])
     form = smith_normal_form(rows)
-    quotient = replace(
+    return replace(
         ab,
         num_relations=len(rows),
         diagonal=form.diagonal,
         rank=form.rank,
         invariant_factors=form.invariant_factors,
-        free_rank=degree - form.rank,
-        right_columns=form.right_columns,
-        right_inverse_rows=form.right_inverse_rows,
+        free_rank=len(columns) - form.rank,
+        right_columns=congruence._rekeyed(form.right_columns, columns),
+        right_inverse_rows=congruence._rekeyed(form.right_inverse_rows, columns),
     )
+
+
+def test_torsion_leaks_on_a_quotient_with_torsion():
+    """No lift of the quotient's free generator is fixed by both sigma_1 and
+    sigma_2 modulo 3, so one of them leaks into the torsion."""
+    quotient = _level_two_torsion_quotient()
     assert (quotient.free_rank, quotient.invariant_factors) == (1, (3, 3))
-    torsion = [t for t in range(form.rank) if form.diagonal[t] > 1]
+    torsion = [t for t in range(quotient.rank) if quotient.diagonal[t] > 1]
     leaked = False
     for w in (BraidWord(3, (1,)), BraidWord(3, (2,))):
         act = conjugation_action(quotient, w)
         full = _dense_action_rows(quotient, w)
         expect = tuple(
-            (s, t, row[t] % form.diagonal[t])
+            (s, t, row[t] % quotient.diagonal[t])
             for s, row in enumerate(full)
             for t in torsion
-            if row[t] % form.diagonal[t]
+            if row[t] % quotient.diagonal[t]
         )
         assert act.matrix == ((1,),)
         assert act.torsion_leak == expect
@@ -556,23 +601,39 @@ def test_torsion_leaks_on_a_quotient_with_torsion():
     assert conjugation_action(quotient, full_twist(3)).is_identity()
 
 
-# SHA-256 of the outputs _pinned_outputs lists, as the smith and congruence
-# modules computed them before left was kept as a row-operation log and
-# before conjugation_action summed tree prefixes
-PINNED_OUTPUTS_SHA256 = "3ddc434e81f933bc917af675e5596244fca50033a04e4e8023bb7a0e9b1cf017"
+# SHA-256 of the outputs _abelianization_outputs and _solver_outputs list,
+# whose inputs come from one random stream.  The abelianization part
+# (diagonals, right transforms, actions and leaks) was pinned again when the
+# relation matrix lost its tree columns and rows, after the oracles above
+# passed on that matrix.  The solver part (solve_integer and kernel_basis) is
+# as the smith module computed it before left was kept as a row-operation log.
+PINNED_ABELIANIZATION_SHA256 = "87cdfa4072a043110eef9ae7547a994283949786558f508e5a640786dad2f669"
+PINNED_SOLVER_SHA256 = "884beee7f38ae511d758cd338ccd22da01a732c0ec784097b795a68e949d20b6"
 
 
-def _pinned_outputs():
+def _pinned_words(rng):
+    # the action words of _abelianization_outputs, drawn before the solver inputs
+    return {n: (full_twist(n), random_word(rng, n, 12), random_word(rng, n, 12)) for n in (3, 4)}
+
+
+def _abelianization_outputs():
     out = []
-    rng = Random(1501)
+    words = _pinned_words(Random(1501))
     for n, m in ((3, 6), (4, 3)):
         ab = abelianization(n, m)
         out.append(ab.diagonal)
         out.append([sorted(column.items()) for column in ab.right_columns])
         out.append([sorted(row.items()) for row in ab.right_inverse_rows])
-        for w in (full_twist(n), random_word(rng, n, 12), random_word(rng, n, 12)):
+        for w in words[n]:
             act = conjugation_action(ab, w)
             out.append((w.letters, act.matrix, act.torsion_leak))
+    return out
+
+
+def _solver_outputs():
+    out = []
+    rng = Random(1501)
+    _pinned_words(rng)
     for _ in range(10):
         rows, cols = rng.randint(1, 5), rng.randint(1, 5)
         a = tuple(tuple(rng.randint(-6, 6) for _ in range(cols)) for _ in range(rows))
@@ -583,10 +644,18 @@ def _pinned_outputs():
     return out
 
 
-def test_outputs_match_the_pinned_digest():
-    """Transforms, actions, leaks, solutions and kernels, byte for byte."""
-    digest = hashlib.sha256(repr(_pinned_outputs()).encode()).hexdigest()
-    assert digest == PINNED_OUTPUTS_SHA256
+def _digest(outputs):
+    return hashlib.sha256(repr(outputs).encode()).hexdigest()
+
+
+def test_abelianization_outputs_match_the_pinned_digest():
+    """Transforms, actions and leaks, byte for byte."""
+    assert _digest(_abelianization_outputs()) == PINNED_ABELIANIZATION_SHA256
+
+
+def test_solver_outputs_match_the_pinned_digest():
+    """Solutions and kernel bases, byte for byte."""
+    assert _digest(_solver_outputs()) == PINNED_SOLVER_SHA256
 
 
 def _rewritten_action(ab, w):
@@ -596,10 +665,10 @@ def _rewritten_action(ab, w):
     word, of length up to twice the tree depth plus one, from the coset w^-1
     reaches; then the free block and the torsion leak of R^-1 theta R.
     """
-    table, n, degree, rank = ab.table, ab.n, ab.num_generators, ab.rank
+    table, n, degree, rank = ab.table, ab.n, len(ab.right_columns), ab.rank
     torsion = [t for t in range(rank) if ab.diagonal[t] > 1]
     wanted = torsion + list(range(rank, degree))
-    right_wanted = [{} for _ in range(degree)]
+    right_wanted = [{} for _ in range(ab.num_generators)]
     for j, t in enumerate(wanted):
         for k, x in ab.right_columns[t].items():
             right_wanted[k][j] = x
@@ -624,30 +693,6 @@ def _rewritten_action(ab, w):
         if conjugated[s].get(j, 0) % ab.diagonal[t]
     )
     return matrix, leaks
-
-
-def _level_two_torsion_quotient():
-    # the quotient of test_torsion_leaks_on_a_quotient_with_torsion
-    ab = abelianization(3, 2)
-    degree = ab.num_generators
-    pairs = [
-        _dense(subgroup_coordinates(ab.table, pure_generator(3, i, j)), degree)
-        for i, j in ((1, 2), (1, 3), (2, 3))
-    ]
-    rows = congruence._relation_rows(ab.table)
-    for a, b in ((0, 1), (1, 2)):
-        rows.append([3 * (x - y) for x, y in zip(pairs[a], pairs[b])])
-    form = smith_normal_form(rows)
-    return replace(
-        ab,
-        num_relations=len(rows),
-        diagonal=form.diagonal,
-        rank=form.rank,
-        invariant_factors=form.invariant_factors,
-        free_rank=degree - form.rank,
-        right_columns=form.right_columns,
-        right_inverse_rows=form.right_inverse_rows,
-    )
 
 
 def test_prefix_sum_action_matches_full_rewriting():
@@ -678,8 +723,8 @@ def test_free_coordinates_reject_wrong_lengths():
 
 def test_four_strand_level_four_abelianization():
     ab = abelianization(4, 4)
-    assert (ab.table.size, ab.num_generators, ab.num_relations) == (1536, 4608, 6143)
-    assert (ab.rank, ab.free_rank, ab.invariant_factors) == (4587, 21, ())
+    assert (ab.table.size, ab.num_generators, ab.num_relations) == (1536, 4608, 4608)
+    assert (ab.rank, ab.free_rank, ab.invariant_factors) == (3052, 21, ())
     assert conjugation_action(ab, full_twist(4)).is_identity()
 
 

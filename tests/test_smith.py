@@ -185,6 +185,15 @@ def test_ragged_input_is_rejected():
         solve_integer(((1, 2), (3, 4), (5,)), (1, 2, 3))
 
 
+def test_the_column_count_can_be_given():
+    s = smith_normal_form((), cols=3)
+    assert (s.rows, s.cols, s.rank, s.diagonal) == (0, 3, 0, ())
+    assert s.right_columns == s.right_inverse_rows == ({0: 1}, {1: 1}, {2: 1})
+    assert smith_normal_form(((0, 2),), cols=2).diagonal == (2,)
+    with pytest.raises(ValueError, match="row 0 has 2 entries, expected 3"):
+        smith_normal_form(((0, 2),), cols=3)
+
+
 def _scramble(rng, a, steps):
     # random sparse unimodular row and column operations
     m = [list(row) for row in a]

@@ -183,6 +183,17 @@ def test_pure_generator_words():
     assert pure_generator(5, 2, 5).letters == (4, 3, 2, 2, -3, -4)
 
 
+def test_pure_generator_matches_the_conjugated_square():
+    # the word as a product of checked words: conj sigma_i^2 conj^-1
+    for n in range(2, 8):
+        for i in range(1, n):
+            for j in range(i + 1, n + 1):
+                conj = BraidWord(n, tuple(range(j - 1, i, -1)))
+                expect = conj * BraidWord(n, (i, i)) * conj.inverse()
+                assert pure_generator(n, i, j) == expect
+                assert type(pure_generator(n, i, j).letters) is tuple
+
+
 def test_pure_generator_is_pure():
     for n in range(3, 7):
         for p in pair_list(n):
