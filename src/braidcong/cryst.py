@@ -53,7 +53,6 @@ __all__ = [
     "power_quotient_class",
     "power_map_scales_lattice",
     "additivity_failures",
-    "holonomy_faithful",
     "pair_permutation_matrix",
 ]
 
@@ -429,15 +428,3 @@ def additivity_failures(
         if lhs != rhs:
             failures.append((lhs, rhs))
     return failures
-
-
-def holonomy_faithful(n: int) -> bool:
-    """Whether the pair action of the symmetric group on the lattice is faithful.
-
-    A permutation that fixes every pair sends strand i into every pair that
-    holds i, so the kernel is trivial exactly when, for each i, those pairs
-    meet only in {i}.  For n >= 3 the pairs {i, j} and {i, k} already do; for
-    n = 2 the one pair {1, 2} is fixed by the swap.  So: faithful iff n >= 3.
-    """
-    check_strand_count(n)
-    return n >= 3

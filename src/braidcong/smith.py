@@ -124,6 +124,8 @@ def smith_normal_form(matrix, cols: int | None = None) -> SmithForm:
     ncols = cols
     if ncols is None:
         ncols = len(matrix[0]) if nrows else 0
+    elif ncols < 0:
+        raise ValueError(f"column count must be non-negative, got {ncols}")
     for r, row in enumerate(matrix):
         if len(row) != ncols:
             raise ValueError(f"row {r} has {len(row)} entries, expected {ncols}")

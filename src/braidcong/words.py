@@ -27,7 +27,6 @@ __all__ = [
     "full_twist",
     "torelli_chain",
     "linking_vector",
-    "conjugated_generator_class",
     "random_word",
     "random_pure_word",
 ]
@@ -74,26 +73,13 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return _checked_word(self.n, tuple(-k for k in reversed(self.letters)))
 
-    def free_cancel(self) -> "BraidWord":
-        """Remove adjacent cancelling pairs until none remain.
-
-        This is an explicit optional pass; no operation applies it implicitly.
-        """
-        out: list[int] = []
-        for k in self.letters:
-            if out and out[-1] == -k:
-                out.pop()
-            else:
-                out.append(k)
-        return _checked_word(self.n, tuple(out))
-
 
 def _checked_word(n: int, letters: tuple[int, ...]) -> BraidWord:
     """A word from letters already known to be in range for n >= 2 strands.
 
-    Products, inverses, powers and free_cancel of checked words, and
-    random_word's draws, skip the per-letter check of BraidWord.__post_init__;
-    BraidWord(n, letters) keeps it.
+    Products, inverses and powers of checked words, and random_word's draws,
+    skip the per-letter check of BraidWord.__post_init__; BraidWord(n, letters)
+    keeps it.
     """
     word = object.__new__(BraidWord)
     object.__setattr__(word, "n", n)
@@ -340,62 +326,6 @@ def linking_vector(w: BraidWord) -> LinkingVector:
     if any(c % 2 for c in counters):
         raise RuntimeError("odd crossing counter on a pure word; internal bug")
     return LinkingVector(n, tuple(c // 2 for c in counters))
-
-
-def conjugated_generator_class(
-    k: int, sign: int, i: int, j: int, n: int
-) -> tuple[tuple[PairIndex, int], ...]:
-    """Conjugate of a standard pure generator by one braid generator.
-
-    Returns the word for sigma_k^sign A_{(i,j)} sigma_k^{-sign} as a formal
-    sequence of (pair, exponent) factors with exponents +1 or -1.
-    Abelianized, the result is the unit vector of the transposed pair.
-    """
-    if not (1 <= k < n and 1 <= i < j <= n):
-        raise ValueError(f"bad indices k={k}, i={i}, j={j} for n={n}")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    A = lambda a, b, e=1: (PairIndex(a, b), e)
-    if k not in (i - 1, i, j - 1, j):
-        return (A(i, j),)
-    if sign == 1:
-        if j == k:
-            return (A(i, j + 1),)
-        if j == k + 1 and i < k:
-            return (A(i, j, -1), A(i, j - 1), A(i, j))
-        if j == k + 1 and i == k:
-            return (A(i, j),)
-        if i == k and k < j - 1:
-            return (A(i + 1, j),)
-        # i == k + 1
-        return (A(i, j, -1), A(i - 1, j), A(i, j))
-    # conjugation by the inverse generator, the inverse automorphism of the above
-    if j == k:
-        return (A(i, k), A(i, k + 1), A(i, k, -1))
-    if j == k + 1 and i < k:
-        return (A(i, k),)
-    if j == k + 1 and i == k:
-        return (A(i, j),)
-    if i == k and k < j - 1:
-        return (A(k, j), A(k + 1, j), A(k, j, -1))
-    # i == k + 1
-    return (A(k, j),)
-
-
-def formal_class_vector(n: int, factors: tuple[tuple[PairIndex, int], ...]) -> LinkingVector:
-    """Abelianization of a formal word in the standard pure generators."""
-    coords = [0] * pair_count(n)
-    for pair, exp in factors:
-        coords[pair_position(n, pair)] += exp
-    return LinkingVector(n, tuple(coords))
-
-
-def formal_class_word(n: int, factors: tuple[tuple[PairIndex, int], ...]) -> BraidWord:
-    """Expand a formal word in the standard pure generators into a braid word."""
-    w = BraidWord(n)
-    for pair, exp in factors:
-        w = w * pure_generator(n, pair.i, pair.j) ** exp
-    return w
 
 
 def random_word(rng: Random, n: int, max_length: int) -> BraidWord:

@@ -7,7 +7,7 @@ from random import Random
 
 import pytest
 
-from braidcong import burau, congruence, cryst, words
+from braidcong import burau, congruence, cryst
 from braidcong.congruence import (
     LimitExceeded,
     abelianization,
@@ -119,14 +119,6 @@ def test_strand_counts_below_two_are_rejected():
             lambda: cryst.power_quotient_class(4, 3, cryst.normal_form(BraidWord(3, (1,)))),
             "strand count mismatch: 3 vs 4",
         ),
-        (
-            lambda: words.conjugated_generator_class(4, 1, 1, 2, 4),
-            "bad indices k=4, i=1, j=2 for n=4",
-        ),
-        (
-            lambda: words.conjugated_generator_class(1, 2, 1, 2, 4),
-            "sign must be \\+1 or -1, got 2",
-        ),
     ],
     ids=[
         "solve_integer-length",
@@ -137,8 +129,6 @@ def test_strand_counts_below_two_are_rejected():
         "transvection_generator-sign",
         "conjugation_action-strands",
         "power_quotient_class-strands",
-        "conjugated_generator_class-index",
-        "conjugated_generator_class-sign",
     ],
 )
 def test_input_checks_raise_their_messages(call, message):

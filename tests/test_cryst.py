@@ -14,7 +14,6 @@ from braidcong.cryst import (
     _partitions,
     _power_offset,
     element_order,
-    holonomy_faithful,
     in_power_image,
     normal_form,
     pair_permutation_matrix,
@@ -363,20 +362,13 @@ def test_pair_permutation_matrix_conventions():
         assert out[pair_position(3, PairIndex(perm(p.i), perm(p.j)))] == 1
 
 
-def test_holonomy_representation_is_faithful():
-    for n in range(3, 13):
-        assert holonomy_faithful(n)
-    # n = 2: a single pair, and the transposition acts trivially on it
-    assert not holonomy_faithful(2)
-    with pytest.raises(ValueError):
-        holonomy_faithful(1)
-
-
 def test_holonomy_faithfulness_matches_brute_force():
-    for n in range(2, 6):
+    """The pair action of S_n on the lattice is faithful exactly when n >= 3;
+    at n = 2 the swap fixes the one pair."""
+    for n in range(2, 7):
         fixed = tuple(range(n * (n - 1) // 2))
         kernel = [p for p in all_permutations(n) if pair_action(p) == fixed]
-        assert holonomy_faithful(n) == (len(kernel) == 1)
+        assert len(kernel) == (1 if n >= 3 else 2)
 
 
 # The word path: normalize products, inverses and powers of representative

@@ -91,3 +91,32 @@ def test_checker_flags_only_unused_names():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _referenced_names(node: ast.AST) -> set[str]:
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    """Each module-level _name function or class in the package is read by
+    some package code outside its own definition; tests do not count."""
+    helpers: list[tuple[str, ast.stmt]] = []
+    references: list[tuple[ast.stmt, set[str]]] = []
+    for path in sorted((ROOT / "src" / "braidcong").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            references.append((node, _referenced_names(node)))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
+                helpers.append((f"{path.name}:{node.name}", node))
+    orphans = [
+        label
+        for label, definition in helpers
+        if not any(
+            definition.name in names for node, names in references if node is not definition
+        )
+    ]
+    assert helpers
+    assert orphans == []

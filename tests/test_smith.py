@@ -192,6 +192,8 @@ def test_the_column_count_can_be_given():
     assert smith_normal_form(((0, 2),), cols=2).diagonal == (2,)
     with pytest.raises(ValueError, match="row 0 has 2 entries, expected 3"):
         smith_normal_form(((0, 2),), cols=3)
+    with pytest.raises(ValueError, match="column count must be non-negative, got -1"):
+        smith_normal_form((), cols=-1)
 
 
 def _scramble(rng, a, steps):

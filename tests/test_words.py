@@ -1,4 +1,4 @@
-"""Word algebra, permutations, linking vectors, and conjugation rules."""
+"""Word algebra, permutations, linking vectors and their conjugation action."""
 
 from random import Random
 
@@ -10,9 +10,6 @@ from braidcong.words import (
     PairIndex,
     Permutation,
     all_permutations,
-    conjugated_generator_class,
-    formal_class_vector,
-    formal_class_word,
     full_twist,
     linking_vector,
     pair_action,
@@ -25,7 +22,6 @@ from braidcong.words import (
     random_word,
     torelli_chain,
 )
-from braidcong.burau import burau_matrix
 
 
 def test_word_validation():
@@ -53,8 +49,8 @@ def test_word_algebra():
 
 
 def test_derived_words_equal_the_checked_construction():
-    """Products, inverses, powers and free_cancel skip the letter check but
-    build the same word as BraidWord(n, letters), which still checks."""
+    """Products, inverses and powers skip the letter check but build the
+    same word as BraidWord(n, letters), which still checks."""
     rng = Random(2610)
     for _ in range(200):
         n = rng.randint(2, 6)
@@ -64,8 +60,7 @@ def test_derived_words_equal_the_checked_construction():
         assert u * v == BraidWord(n, u.letters + v.letters)
         assert u.inverse() == BraidWord(n, tuple(-x for x in reversed(u.letters)))
         assert u**k == BraidWord(n, (u.letters if k >= 0 else u.inverse().letters) * abs(k))
-        assert u.free_cancel() == BraidWord(n, u.free_cancel().letters)
-        for w in (u * v, u.inverse(), u**k, u.free_cancel()):
+        for w in (u * v, u.inverse(), u**k):
             assert type(w.letters) is tuple and w.n == n
     with pytest.raises(ValueError, match="strand count mismatch: 3 vs 4"):
         BraidWord(3, (1,)) * BraidWord(4, (1,))
@@ -79,13 +74,6 @@ def test_derived_words_equal_the_checked_construction():
     for n in (1, 0):
         with pytest.raises(ValueError, match=f"strand count must be at least 2, got {n}"):
             random_word(Random(1), n, 5)
-
-
-def test_free_cancel():
-    w = BraidWord(3, (1, 2, -2, -1, 1))
-    assert w.free_cancel().letters == (1,)
-    assert BraidWord(3, (1, -1)).free_cancel().letters == ()
-    assert BraidWord(3, (1, 2)).free_cancel().letters == (1, 2)
 
 
 def test_permutation_convention():
@@ -249,36 +237,6 @@ def test_linking_vector_conjugation_permutes_pairs():
         g = random_word(rng, n, 8)
         pi = permutation(g.inverse())
         assert linking_vector(g * w * g.inverse()) == linking_vector(w).permuted(pi)
-
-
-def test_conjugated_generator_class_matches_burau():
-    """The rewriting table is checked against two independent quotients.
-
-    For every generator, sign, and pair the formal factorization must match
-    the actual conjugate both under the integral representation and in the
-    abelianization of the pure braid group.
-    """
-    for n in range(3, 7):
-        for k in range(1, n):
-            for sign in (1, -1):
-                for p in pair_list(n):
-                    factors = conjugated_generator_class(k, sign, p.i, p.j, n)
-                    sigma = BraidWord(n, (k * sign,))
-                    actual = sigma * pure_generator(n, p.i, p.j) * sigma.inverse()
-                    expanded = formal_class_word(n, factors)
-                    assert burau_matrix(expanded) == burau_matrix(actual)
-                    assert linking_vector(expanded) == linking_vector(actual)
-
-
-def test_conjugated_generator_class_abelianizes_to_transposed_pair():
-    for n in range(3, 7):
-        for k in range(1, n):
-            for sign in (1, -1):
-                pi = permutation(BraidWord(n, (k * sign,)).inverse())
-                for p in pair_list(n):
-                    factors = conjugated_generator_class(k, sign, p.i, p.j, n)
-                    vec = formal_class_vector(n, factors)
-                    assert vec == LinkingVector.unit(n, pi(p.i), pi(p.j))
 
 
 def test_random_pure_words_are_pure():
