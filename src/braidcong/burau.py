@@ -4,24 +4,22 @@ The representation is the n-dimensional unreduced Burau representation
 specialized at t = -1, used uniformly for every n.  Generator i acts by the
 unipotent block [[2, -1], [1, 0]] at rows and columns (i, i+1) of the
 identity.  Every image fixes the all-ones column vector on the right and the
-alternating covector on the left.
+alternating covector on the left, and preserves the skew form of
+invariant_form.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 from operator import mul
 from random import Random
 
 from . import matrices
 from .matrices import IntMatrix
-from .smith import kernel_basis
-from .words import BraidWord, check_modulus, pair_list, pair_position, random_word
+from .words import BraidWord, check_modulus, check_strand_count, random_word
 
 __all__ = [
-    "InvariantFormWitness",
     "generator_matrix",
     "burau_matrix",
     "burau_matrix_mod",
@@ -125,7 +123,7 @@ _FACTOR_LIMIT = 10**12
 
 
 def order_mod(mat: IntMatrix, m: int) -> int | None:
-    """Least k >= 1 with mat^k = identity mod m, or None when none is found.
+    """Least k >= 1 with mat^k = identity mod m, or None when there is none.
 
     mat is any square integer matrix, other shapes raise; it is reduced mod
     m once, up front.
@@ -138,7 +136,9 @@ def order_mod(mat: IntMatrix, m: int) -> int | None:
     Factoring that multiple by trial division costs up to about p^(n/2)
     steps for the largest prime p dividing m, so the exact search runs only
     while p^n <= 10^12.  Beyond that, orders are found by stepping alone, up
-    to 4 * m * n, and None is reported above it.
+    to 4 * m * n.  Past that, a matrix whose determinant shares a factor
+    with m has no order and gives None; an invertible one has an order too
+    long to find, and raises ValueError.
     """
     check_modulus(m)
     n = len(mat)
@@ -156,7 +156,12 @@ def order_mod(mat: IntMatrix, m: int) -> int | None:
             return k
         acc = _mul_mod(acc, mat, m)
     if not exact:
-        return None
+        if math.gcd(matrices.determinant(mat), m) != 1:
+            return None
+        raise ValueError(
+            f"order of an invertible matrix exceeds {steps} steps, and "
+            f"{max(primes)}^{n} is past the factoring limit {_FACTOR_LIMIT}"
+        )
     factors = _exponent_multiple(n, primes)
     order = math.prod(q**f for q, f in factors.items())
     if _pow_mod(mat, order, m) != one:
@@ -211,85 +216,18 @@ def alternating_covector(n: int) -> tuple[int, ...]:
     return tuple((-1) ** k for k in range(n))
 
 
-@dataclass(frozen=True)
-class InvariantFormWitness:
-    """A skew form preserved by all generator images, with parity diagnostics.
+def invariant_form(n: int) -> IntMatrix:
+    """The skew form J preserved by every image: g^T J g = J.
 
-    For odd n the form restricted to the kernel of the alternating covector is
-    unimodular (restricted_determinant is +1 or -1).  For even n that
-    restriction is degenerate; its radical is spanned by vectors fixed by
-    every generator image.
+    J[r][c] = (-1)^(r+c+1) for r < c, J[c][r] = -J[r][c], and 0 on the
+    diagonal.  Off the generator block, rows i and i+1 of J are opposite, and
+    the block [[2, -1], [1, 0]] has determinant 1, so g^T J g = J for every
+    letter g.
     """
-
-    n: int
-    form: IntMatrix
-    solution_dimension: int
-    restricted_determinant: int | None = None
-    radical_basis: tuple[tuple[int, ...], ...] = ()
-    radical_fixed: bool = field(default=True)
-
-
-def invariant_form(n: int) -> InvariantFormWitness:
-    """Solve for the skew-symmetric integer form preserved by the representation.
-
-    Unknowns are the above-diagonal entries of the form, indexed by strand
-    pairs; each generator contributes one linear constraint per pair.  The
-    integer kernel of the constraint matrix gives primitive solutions.
-    """
-    if n < 3:
-        raise ValueError(f"need at least 3 strands, got {n}")
-    pairs = pair_list(n)
-    rows = []
-    for i in range(1, n):
-        g = generator_matrix(n, i)
-        for p in pairs:
-            row = [0] * len(pairs)
-            for a in pairs:
-                # coefficient of J[a] in (g^T J g - J)[p]
-                coeff = (
-                    g[a.i - 1][p.i - 1] * g[a.j - 1][p.j - 1]
-                    - g[a.j - 1][p.i - 1] * g[a.i - 1][p.j - 1]
-                )
-                if a == p:
-                    coeff -= 1
-                row[pair_position(n, a)] = coeff
-            rows.append(row)
-    basis = kernel_basis(rows)
-    if not basis:
-        raise RuntimeError("no invariant skew form found; construction bug")
-    vec = basis[0]
-    lead = next(x for x in vec if x)
-    if lead < 0:
-        vec = tuple(-x for x in vec)
-    form = [[0] * n for _ in range(n)]
-    for pos, p in enumerate(pairs):
-        form[p.i - 1][p.j - 1] = vec[pos]
-        form[p.j - 1][p.i - 1] = -vec[pos]
-    form_t = tuple(tuple(row) for row in form)
-    for i in range(1, n):
-        for sign in (1, -1):
-            g = generator_matrix(n, i, sign)
-            gt = matrices.transpose(g)
-            if matrices.mat_mul(gt, matrices.mat_mul(form_t, g)) != form_t:
-                raise RuntimeError("candidate form not preserved; construction bug")
-
-    # restrict to the kernel of the alternating covector: column k of f is
-    # e_k + e_(k+1), so the restriction is f^T J f and y lifts to f y
-    f = tuple(
-        tuple(1 if r - c in (0, 1) else 0 for c in range(n - 1)) for r in range(n)
+    check_strand_count(n)
+    return tuple(
+        tuple((-1) ** (r + c + 1) * ((c > r) - (c < r)) for c in range(n)) for r in range(n)
     )
-    restriction = matrices.mat_mul(matrices.transpose(f), matrices.mat_mul(form_t, f))
-    witness = dict(n=n, form=form_t, solution_dimension=len(basis))
-    if n % 2 == 1:
-        det = matrices.determinant(restriction)
-        return InvariantFormWitness(**witness, restricted_determinant=det)
-    lifted = tuple(matrices.mat_vec(f, y) for y in kernel_basis(restriction))
-    fixed = all(
-        matrices.mat_vec(generator_matrix(n, i), u) == u
-        for u in lifted
-        for i in range(1, n)
-    )
-    return InvariantFormWitness(**witness, radical_basis=lifted, radical_fixed=fixed)
 
 
 def transvection_generator(n: int, i: int, sign: int = 1) -> IntMatrix:

@@ -11,8 +11,9 @@ Elements multiply by the closed form of the group law,
 
 where the cocycle c(s, t), the vector of the product of the section classes
 of s and t, is 1 at the image under s * t of each pair that s inverts and t
-inverts again, and 0 elsewhere.  A product, an inverse or a power (by
-squaring) therefore costs O(n^2) arithmetic steps whatever the size of the
+inverts again, and 0 elsewhere.  One pass over the pairs of labels forms all
+three terms (_product_vector), so a product, an inverse or a power (by
+squaring) costs O(n^2) arithmetic steps whatever the size of the
 coordinates.  The word path, normalizing the product of representative
 words, stays as the independent check: verify claim c12 compares the closed
 form with it, and so do the tests.
@@ -103,12 +104,13 @@ class CrystElement:
     def __mul__(self, other: "CrystElement") -> "CrystElement":
         if self.n != other.n:
             raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
-        vec = self.vec.permuted(other.perm) + other.vec + _cocycle(self.perm, other.perm)
+        vec = _product_vector(self, other.perm, other.vec.coords)
         return CrystElement(self.n, self.perm * other.perm, vec)
 
     def inverse(self) -> "CrystElement":
+        # a * (perm(a)^-1, 0) = (1, v), so a^-1 = (perm(a)^-1, -v)
         inv = self.perm.inverse()
-        vec = -self.vec.permuted(inv) - _cocycle(self.perm, inv)
+        vec = -_product_vector(self, inv, (0,) * len(self.vec.coords))
         return CrystElement(self.n, inv, vec)
 
     def __pow__(self, k: int) -> "CrystElement":
@@ -126,6 +128,23 @@ class CrystElement:
 
     def is_identity(self) -> bool:
         return self.perm.is_identity() and self.vec.is_zero()
+
+
+def _product_vector(a: CrystElement, t: Permutation, vec: Iterable[int]) -> LinkingVector:
+    """The vector of a * (t, vec), in one pass over the pairs of labels.
+
+    For each pair i < j, a's coordinate at (i, j) moves to the pair
+    (t(i), t(j)), plus 1 when both section words cross the pair there:
+    perm(a)^-1 and t both invert (i, j).
+    """
+    n = a.n
+    out = list(vec)
+    back, img = a.perm.inverse().images, t.images
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    for (i, j), x in zip(pairs, a.vec.coords):
+        crossed = img[i] > img[j] and back[i] > back[j]
+        out[_position(n, img[i], img[j])] += x + crossed
+    return LinkingVector(n, tuple(out))
 
 
 def _inversions(perm: Permutation) -> list[tuple[int, int]]:
@@ -173,23 +192,6 @@ def normal_form(w: BraidWord) -> CrystElement:
     return CrystElement(
         n, _checked_permutation(tuple(images)), LinkingVector(n, tuple(coords))
     )
-
-
-def _cocycle(s: Permutation, t: Permutation) -> LinkingVector:
-    """Vector part of the product of the section classes of s and t.
-
-    A pair of strands links once, at its image under s * t, when both section
-    words cross it: s inverts the pair and t inverts its image.  No other
-    pair links.
-    """
-    n = s.n
-    coords = [0] * pair_count(n)
-    img = t.images
-    for a, b in _inversions(s):
-        ta, tb = img[a - 1], img[b - 1]
-        if ta < tb:
-            coords[_position(n, ta, tb)] = 1
-    return LinkingVector(n, tuple(coords))
 
 
 def representative_word(a: CrystElement) -> BraidWord:

@@ -1,4 +1,4 @@
-"""The integral representation, its modular reductions, and the form witness."""
+"""The integral representation, its modular reductions, and the invariant form."""
 
 from random import Random
 
@@ -25,7 +25,8 @@ from braidcong.matrices import (
     mat_vec,
     transpose,
 )
-from braidcong.words import BraidWord, full_twist, random_word
+from braidcong.smith import kernel_basis
+from braidcong.words import BraidWord, full_twist, pair_list, pair_position, random_word
 
 
 def test_generator_matrix_blocks():
@@ -178,7 +179,13 @@ def test_order_mod_steps_only_beyond_the_factoring_limit(monkeypatch):
     monkeypatch.setattr(burau, "_exponent_multiple", refuse)
     n, m = 13, 29
     assert order_mod(burau_matrix_mod(BraidWord(n, (1,)), m), m) == m
-    assert order_mod(burau_matrix_mod(random_word(Random(133), n, 40), m), m) is None
+    # an invertible matrix has an order, only too long to find here; a
+    # singular one has none
+    g = burau_matrix_mod(random_word(Random(133), n, 40), m)
+    with pytest.raises(ValueError, match="past the factoring limit 1000000000000$"):
+        order_mod(g, m)
+    singular = ((m,) * n,) + g[1:]
+    assert order_mod(singular, m) is None
 
 
 def test_modular_power_matches_repeated_products():
@@ -230,61 +237,83 @@ def test_full_twist_order_table():
             assert order_mod(burau_matrix_mod(full_twist(n), m), m) == m // 2
 
 
-def test_invariant_form_witness_small_case():
-    wit = invariant_form(3)
-    assert wit.form == ((0, 1, -1), (-1, 0, 1), (1, -1, 0))
-    assert wit.solution_dimension == 1
-    assert wit.restricted_determinant == 1
-
-
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(2, 13))
 def test_invariant_form_is_pinned(n):
     # J[r][c] = +-1 off the diagonal, + on the superdiagonal and alternating
-    # away from it; the restriction is unimodular for odd n, and for even n
-    # its radical lifts to the all-ones vector
-    wit = invariant_form(n)
-    assert wit.form == tuple(
+    # away from it
+    j = invariant_form(n)
+    assert j == tuple(
         tuple(0 if r == c else (1 if c > r else -1) * (-1) ** (abs(c - r) - 1) for c in range(n))
         for r in range(n)
     )
-    assert wit.solution_dimension == 1
-    odd = n % 2 == 1
-    assert wit.restricted_determinant == (1 if odd else None)
-    assert wit.radical_basis == (() if odd else (ones_vector(n),))
-    assert wit.radical_fixed is True
+    assert j == tuple(tuple(-j[c][r] for c in range(n)) for r in range(n))  # skew
 
 
 def test_invariant_form_is_preserved():
-    for n in range(3, 8):
-        wit = invariant_form(n)
-        j = wit.form
-        assert j == tuple(
-            tuple(-j[c][r] for c in range(n)) for r in range(n)
-        )  # skew
+    for n in range(2, 13):
+        j = invariant_form(n)
         for i in range(1, n):
             for sign in (1, -1):
                 g = generator_matrix(n, i, sign)
-                assert mat_mul(mat_mul(transpose(g), j), g) == j
+                assert mat_mul(mat_mul(transpose(g), j), g) == j, (n, i, sign)
+
+
+def _form_constraints(n):
+    # the constraint system on the above-diagonal entries of a skew form J,
+    # one unknown per strand pair: the entry of g^T J g - J at each pair,
+    # for each generator image g
+    pairs = pair_list(n)
+    rows = []
+    for i in range(1, n):
+        g = generator_matrix(n, i)
+        for p in pairs:
+            row = [0] * len(pairs)
+            for a in pairs:
+                coeff = (
+                    g[a.i - 1][p.i - 1] * g[a.j - 1][p.j - 1]
+                    - g[a.j - 1][p.i - 1] * g[a.i - 1][p.j - 1]
+                )
+                row[pair_position(n, a)] = coeff - (a == p)
+            rows.append(row)
+    return rows
+
+
+def test_invariant_form_spans_the_constraint_solutions():
+    """The solver oracle: the integer kernel of the constraint system has
+    rank 1 and is spanned by J's above-diagonal entries, so J is the only
+    preserved skew form up to a scalar."""
+    for n in range(3, 10):
+        j = invariant_form(n)
+        basis = kernel_basis(_form_constraints(n))
+        above = tuple(j[p.i - 1][p.j - 1] for p in pair_list(n))
+        assert len(basis) == 1, n
+        assert basis[0] in (above, tuple(-x for x in above)), n
+
+
+def _chain_basis(n):
+    # column k is e_k + e_(k+1): a basis of the kernel of the alternating covector
+    return tuple(tuple(1 if r - c in (0, 1) else 0 for c in range(n - 1)) for r in range(n))
 
 
 def test_invariant_form_parity_behavior():
-    for n in (3, 5, 7):
-        wit = invariant_form(n)
-        assert wit.restricted_determinant == 1
-        assert wit.radical_basis == ()
-    for n in (4, 6):
-        wit = invariant_form(n)
-        assert wit.restricted_determinant is None
-        assert len(wit.radical_basis) == 1
-        assert wit.radical_fixed
-        # the radical direction is spanned by the all-ones vector
-        v = wit.radical_basis[0]
-        assert v == ones_vector(n) or v == tuple(-x for x in ones_vector(n))
-        # independently: every generator fixes it, and the full form does
-        # not kill it (the ambient form is nondegenerate for even n)
+    """J restricted to the kernel of the alternating covector, f^T J f, is
+    unimodular for odd n; for even n its kernel lifts to the all-ones vector
+    up to sign, which every generator fixes and the full form does not kill."""
+    for n in range(3, 10):
+        f = _chain_basis(n)
+        j = invariant_form(n)
+        restriction = mat_mul(transpose(f), mat_mul(j, f))
+        if n % 2:
+            assert determinant(restriction) == 1, n
+            continue
+        lifted = [mat_vec(f, y) for y in kernel_basis(restriction)]
+        assert len(lifted) == 1, n
+        v = lifted[0]
+        assert v in (ones_vector(n), tuple(-x for x in ones_vector(n))), n
         for i in range(1, n):
-            assert mat_vec(generator_matrix(n, i), v) == v
-        assert any(x != 0 for x in mat_vec(wit.form, v))
+            for sign in (1, -1):
+                assert mat_vec(generator_matrix(n, i, sign), v) == v
+        assert any(mat_vec(j, v))
 
 
 def test_transvection_generators_satisfy_relations():

@@ -104,7 +104,7 @@ def test_strand_counts_below_two_are_rejected():
     [
         (lambda: solve_integer(((1, 2),), (1, 2)), "length mismatch: 1 rows vs 2 entries"),
         (lambda: enumerate_image(3, 3, element_cap=0), "element cap must be positive, got 0"),
-        (lambda: burau.invariant_form(2), "need at least 3 strands, got 2"),
+        (lambda: burau.invariant_form(1), "strand count must be at least 2, got 1"),
         (
             lambda: burau.transvection_generator(3, 3),
             "generator index 3 out of range for 3 strands",

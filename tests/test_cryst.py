@@ -7,7 +7,6 @@ import pytest
 
 from braidcong.cryst import (
     CrystElement,
-    _cocycle,
     _first_of_type,
     _letterwise_power,
     _orbit_sum,
@@ -392,7 +391,7 @@ def _seeded_element(rng: Random, n: int, large: bool) -> CrystElement:
 
 
 def test_closed_form_law_matches_the_word_path():
-    """*, inverse and ** against normalized representative words, n = 3..7."""
+    """*, inverse and ** against normalized representative words, n = 2..7."""
     rng = Random(815)
     large_pairs = 0
     for t in range(300):
@@ -409,6 +408,19 @@ def test_closed_form_law_matches_the_word_path():
         for k in range(-span, span + 1):
             assert a**k == _word_power(a, k)
     assert large_pairs == 30
+    # n = 2 in a loop of its own, so the seeded draws above stay the same:
+    # every product of two elements with a coordinate in -2..2
+    elements = [
+        CrystElement(2, perm, LinkingVector(2, (c,)))
+        for perm in all_permutations(2)
+        for c in range(-2, 3)
+    ]
+    for a in elements:
+        assert a.inverse() == normal_form(representative_word(a).inverse())
+        for k in range(-3, 4):
+            assert a**k == _word_power(a, k)
+        for b in elements:
+            assert a * b == _word_product(a, b)
 
 
 def test_power_endomorphism_matches_letterwise_expansion():
@@ -605,12 +617,15 @@ def test_normal_form_matches_the_three_walk_path():
 
 
 def test_cocycle_matches_the_section_word_product():
+    """The cocycle term of the group law: the product of two section classes
+    against the normalized product of their section words."""
     for n in range(2, 6):
-        perms = list(all_permutations(n))
+        perms, zero = list(all_permutations(n)), LinkingVector.zero(n)
         for s in perms:
             for t in perms:
                 product = section_word(s) * section_word(t)
-                assert _cocycle(s, t) == _reference_normal_form(product).vec, (s, t)
+                closed = (CrystElement(n, s, zero) * CrystElement(n, t, zero)).vec
+                assert closed == _reference_normal_form(product).vec, (s, t)
 
 
 def test_power_offset_matches_the_letterwise_power():

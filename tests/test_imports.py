@@ -120,3 +120,18 @@ def test_every_private_helper_is_referenced_in_the_package():
     ]
     assert helpers
     assert orphans == []
+
+
+def test_burau_imports_nothing_from_smith():
+    """The invariant form is a closed formula, so the representation module
+    needs no integer solver."""
+    tree = ast.parse((ROOT / "src" / "braidcong" / "burau.py").read_text())
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+            modules += [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+    assert modules
+    assert [name for name in modules if "smith" in name.split(".")] == []
