@@ -32,12 +32,16 @@ __all__ = [
 ]
 
 
-def generator_matrix(n: int, i: int, sign: int = 1) -> IntMatrix:
-    """Image of the i-th generator (or its inverse) as an exact integer matrix."""
+def _check_generator(n: int, i: int, sign: int) -> None:
     if not (1 <= i < n):
         raise ValueError(f"generator index {i} out of range for {n} strands")
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
+
+
+def generator_matrix(n: int, i: int, sign: int = 1) -> IntMatrix:
+    """Image of the i-th generator (or its inverse) as an exact integer matrix."""
+    _check_generator(n, i, sign)
     rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
     if sign > 0:
         rows[i - 1][i - 1 : i + 1] = [2, -1]
@@ -128,17 +132,17 @@ def order_mod(mat: IntMatrix, m: int) -> int | None:
     mat is any square integer matrix, other shapes raise; it is reduced mod
     m once, up front.
     Short orders, up to n * m (those of generator powers and full twists),
-    are found by stepping.  Longer ones are exact too: the order divides a
-    known multiple of the exponent of GL_n(Z/m), whose prime factors are
-    stripped by powering by squaring.  A matrix that is not invertible mod m
-    has no such k.
+    are found by stepping.  Past the steps, one rule decides "no order": a
+    matrix whose determinant shares a factor with m is not invertible mod m,
+    has no such k, and gives None.  An invertible one has an order, found
+    exactly: it divides a known multiple of the exponent of GL_n(Z/m), whose
+    prime factors are stripped by powering by squaring.
 
     Factoring that multiple by trial division costs up to about p^(n/2)
     steps for the largest prime p dividing m, so the exact search runs only
     while p^n <= 10^12.  Beyond that, orders are found by stepping alone, up
-    to 4 * m * n.  Past that, a matrix whose determinant shares a factor
-    with m has no order and gives None; an invertible one has an order too
-    long to find, and raises ValueError.
+    to 4 * m * n, and an invertible matrix whose order is longer raises
+    ValueError.
     """
     check_modulus(m)
     n = len(mat)
@@ -155,9 +159,9 @@ def order_mod(mat: IntMatrix, m: int) -> int | None:
         if acc == one:
             return k
         acc = _mul_mod(acc, mat, m)
+    if math.gcd(matrices.determinant(mat), m) != 1:
+        return None
     if not exact:
-        if math.gcd(matrices.determinant(mat), m) != 1:
-            return None
         raise ValueError(
             f"order of an invertible matrix exceeds {steps} steps, and "
             f"{max(primes)}^{n} is past the factoring limit {_FACTOR_LIMIT}"
@@ -165,7 +169,7 @@ def order_mod(mat: IntMatrix, m: int) -> int | None:
     factors = _exponent_multiple(n, primes)
     order = math.prod(q**f for q, f in factors.items())
     if _pow_mod(mat, order, m) != one:
-        return None
+        raise RuntimeError("an invertible matrix outlasts the exponent bound; internal bug")
     for q, f in factors.items():
         for _ in range(f):
             if _pow_mod(mat, order // q, m) != one:
@@ -236,11 +240,8 @@ def transvection_generator(n: int, i: int, sign: int = 1) -> IntMatrix:
     Basis vectors are the classes of a chain of curves with consecutive
     intersection one; each generator acts as a transvection along its curve.
     """
+    _check_generator(n, i, sign)
     d = n - 1
-    if not (1 <= i <= d):
-        raise ValueError(f"generator index {i} out of range for {n} strands")
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
     rows = [[1 if r == c else 0 for c in range(d)] for r in range(d)]
     if i >= 2:
         rows[i - 1][i - 2] = sign
@@ -282,8 +283,8 @@ def _conjugated_powers(rng: Random, n: int, k: int) -> BraidWord:
     return w
 
 
-def check_transvection_model(n: int, m: int, samples: int = 200, seed: int = 0) -> bool:
-    """Compare mod-m kernel membership across the two models on random words.
+def check_transvection_model(n: int, m: int, seed: int = 0) -> bool:
+    """Compare mod-m kernel membership across the two models on 200 random words.
 
     Half the samples are plain random words; the other half are synthesized
     kernel members (products of conjugated m-th generator powers), so the
@@ -292,11 +293,9 @@ def check_transvection_model(n: int, m: int, samples: int = 200, seed: int = 0) 
     if n % 2 != 1:
         raise ValueError(f"chain model comparison requires odd strand count, got {n}")
     check_modulus(m)
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
     rng = Random(seed)
     one, chain_one = matrices.identity(n), matrices.identity(n - 1)
-    for t in range(samples):
+    for t in range(200):
         if t % 2 == 0:
             w = random_word(rng, n, 25)
         else:

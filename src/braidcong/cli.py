@@ -134,8 +134,8 @@ def _cmd_abelianization(args: argparse.Namespace) -> tuple[int, dict]:
     ab = abelianization(args.n, args.m, coset_cap=args.cap)
     runtime_ms = round((time.perf_counter() - t0) * 1000.0, 3)
     payload = {
-        "n": ab.n,
-        "m": ab.m,
+        "n": args.n,
+        "m": args.m,
         "index": ab.table.size,
         "schreier_generators": ab.num_generators,
         "invariant_factors": list(ab.invariant_factors),

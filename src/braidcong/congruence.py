@@ -19,7 +19,7 @@ from . import matrices
 from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
 from .burau import _right_multiply, burau_matrix_mod
 from .smith import smith_normal_form
-from .words import BraidWord, check_modulus, check_strand_count
+from .words import BraidWord, check_modulus, check_same_strands, check_strand_count
 
 __all__ = [
     "LimitExceeded",
@@ -142,8 +142,7 @@ class ImageGroup:
             raise ValueError(f"coset {coset} out of range 1..{self.size}")
 
     def trace(self, coset: int, w: BraidWord) -> int:
-        if w.n != self.n:
-            raise ValueError(f"strand count mismatch: {w.n} vs {self.n}")
+        check_same_strands(w.n, self.n)
         self._check_coset(coset)
         x = coset - 1
         for letter in w.letters:
@@ -275,14 +274,10 @@ def _rewrite(table: ImageGroup, start: int, letters: Sequence[int]) -> tuple[Spa
     coords: SparseVector = {}
     x = start
     for letter in letters:
-        if letter > 0:
-            k = x * (n - 1) + letter - 1
-            coords[k] = coords.get(k, 0) + 1
-            x = edges[x][_letter_pos(letter)]
-        else:
-            x = edges[x][_letter_pos(letter)]
-            k = x * (n - 1) - letter - 1
-            coords[k] = coords.get(k, 0) - 1
+        y = edges[x][_letter_pos(letter)]
+        k = _edge_coordinate(n, x, y, letter)
+        coords[k] = coords.get(k, 0) + (1 if letter > 0 else -1)
+        x = y
     return {k: e for k, e in coords.items() if e}, x
 
 
@@ -293,8 +288,7 @@ def subgroup_coordinates(table: ImageGroup, w: BraidWord) -> SparseVector:
     counts the generator of 0-based coset c and braid index i.  Raises when
     the word is not in the subgroup.
     """
-    if w.n != table.n:
-        raise ValueError(f"strand count mismatch: {w.n} vs {table.n}")
+    check_same_strands(w.n, table.n)
     coords, final = _rewrite(table, 0, w.letters)
     if final != 0:
         raise ValueError("word is not a member of the subgroup")
@@ -317,11 +311,9 @@ class AbelianizationResult:
     (right_columns[j] = {k: R[k][j]}) and R^-1 as sparse rows
     (right_inverse_rows[j] = {k: R^-1[j][k]}), both keyed by Schreier
     coordinate.  num_generators counts all Schreier generators, tree ones
-    included.
+    included.  The strand count and level are table.n and table.m.
     """
 
-    n: int
-    m: int
     table: ImageGroup
     num_generators: int
     num_relations: int
@@ -371,8 +363,6 @@ def abelianization(n: int, m: int, coset_cap: int = 10_000) -> AbelianizationRes
     # n = 2 has no relators, so the column count cannot come from a row
     form = smith_normal_form(rows, cols=len(columns))
     return AbelianizationResult(
-        n=n,
-        m=m,
         table=table,
         num_generators=table.size * (n - 1),
         num_relations=form.rows,
@@ -393,7 +383,7 @@ def _rekeyed(vectors: Sequence[SparseVector], columns: list[int]) -> tuple[Spars
 def _edge_coordinate(n: int, source: int, target: int, letter: int) -> int:
     # the Schreier coordinate a letter reads on its edge between 0-based
     # cosets: the generator at the source for sigma_i, at the target for
-    # its inverse, as _rewrite counts them
+    # its inverse
     if letter > 0:
         return source * (n - 1) + letter - 1
     return target * (n - 1) - letter - 1
@@ -446,7 +436,7 @@ class ActionMatrix:
     torsion_leak: tuple[tuple[int, int, int], ...] = ()
 
     def is_identity(self) -> bool:
-        return matrices.is_identity(self.matrix) and not self.torsion_leak
+        return self.matrix == matrices.identity(len(self.matrix)) and not self.torsion_leak
 
 
 def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
@@ -479,10 +469,9 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     are empty, and R^-1 reads theta only at the other coordinates, so theta
     is formed only there.
     """
-    if w.n != ab.n:
-        raise ValueError(f"strand count mismatch: {w.n} vs {ab.n}")
     table = ab.table
-    n = ab.n
+    check_same_strands(w.n, table.n)
+    n = table.n
     degree = len(ab.right_columns)
     rank = ab.rank
     torsion = [t for t in range(rank) if ab.diagonal[t] > 1]
@@ -510,9 +499,11 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     theta_right: list[SparseVector] = [{}] * ab.num_generators
     for s in _non_tree_coordinates(table):
         c, i = divmod(s, n - 1)
+        target = edges[c][_letter_pos(i + 1)]
         row = dict(prefix[c])
-        matrices.add_multiple(row, right_wanted[y[c] * (n - 1) + i], -1)
-        matrices.add_multiple(row, prefix[edges[c][_letter_pos(i + 1)]], 1)
+        generator = right_wanted[_edge_coordinate(n, y[c], y[target], i + 1)]
+        matrices.add_multiple(row, generator, -1)
+        matrices.add_multiple(row, prefix[target], 1)
         theta_right[s] = row
     conjugated = [
         matrices.sparse_combination(row, theta_right) for row in ab.right_inverse_rows

@@ -7,16 +7,17 @@ normal_form reads that pair off any braid word in one walk over its letters.
 
 Elements multiply by the closed form of the group law,
 
-    vec(a * b) = vec(a).permuted(perm b) + vec(b) + c(perm a, perm b),
+    vec(a * b) = P(perm b) vec(a) + vec(b) + c(perm a, perm b),
 
-where the cocycle c(s, t), the vector of the product of the section classes
-of s and t, is 1 at the image under s * t of each pair that s inverts and t
-inverts again, and 0 elsewhere.  One pass over the pairs of labels forms all
-three terms (_product_vector), so a product, an inverse or a power (by
-squaring) costs O(n^2) arithmetic steps whatever the size of the
-coordinates.  The word path, normalizing the product of representative
-words, stays as the independent check: verify claim c12 compares the closed
-form with it, and so do the tests.
+where P(t) = pair_permutation_matrix(t) moves each coordinate to the image
+of its pair under t, and the cocycle c(s, t), the vector of the product of
+the section classes of s and t, is 1 at the image under s * t of each pair
+that s inverts and t inverts again, and 0 elsewhere.  One pass over the
+pairs of labels forms all three terms (_product_vector), so a product, an
+inverse or a power (by squaring) costs O(n^2) arithmetic steps whatever the
+size of the coordinates.  The word path, normalizing the product of
+representative words, stays as the independent check: verify claim c12
+compares the closed form with it, and so do the tests.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .words import (
     Permutation,
     _checked_permutation,
     _position,
+    check_same_strands,
     check_strand_count,
     pair_action,
     pair_count,
@@ -67,14 +69,12 @@ def section_word(perm: Permutation) -> BraidWord:
     n = perm.n
     arr = list(perm.inverse().images)
     swaps: list[int] = []
-    changed = True
-    while changed:
-        changed = False
+    # each pass carries the largest unsorted entry to its place
+    for _ in range(n - 1):
         for p in range(n - 1):
             if arr[p] > arr[p + 1]:
                 arr[p], arr[p + 1] = arr[p + 1], arr[p]
                 swaps.append(p + 1)
-                changed = True
     return BraidWord(n, tuple(reversed(swaps)))
 
 
@@ -102,8 +102,7 @@ class CrystElement:
         return cls(vec.n, Permutation.identity(vec.n), vec)
 
     def __mul__(self, other: "CrystElement") -> "CrystElement":
-        if self.n != other.n:
-            raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
+        check_same_strands(self.n, other.n)
         vec = _product_vector(self, other.perm, other.vec.coords)
         return CrystElement(self.n, self.perm * other.perm, vec)
 
@@ -315,8 +314,7 @@ def power_endomorphism(n: int, m: int, a: CrystElement) -> CrystElement:
     is (m - 1) / 2 at the image of each pair the permutation inverts: the
     section word crosses such a pair once, its letter-wise m-th power m times.
     """
-    if a.n != n:
-        raise ValueError(f"strand count mismatch: {a.n} vs {n}")
+    check_same_strands(a.n, n)
     _require_odd(m)
     return CrystElement(n, a.perm, _power_offset(n, m, a.perm) + a.vec.scaled(m))
 
@@ -388,8 +386,7 @@ def power_quotient_class(n: int, m: int, a: CrystElement) -> tuple[int, ...]:
     class(a * b) = class(a) + class(b), is guaranteed only when b is a
     lattice element (its permutation is the identity).
     """
-    if a.n != n:
-        raise ValueError(f"strand count mismatch: {a.n} vs {n}")
+    check_same_strands(a.n, n)
     _require_odd(m)
     diff = a.vec - _power_offset(n, m, a.perm)
     return tuple(x % m for x in diff.coords)

@@ -63,12 +63,6 @@ def transpose(a: IntMatrix) -> IntMatrix:
     return tuple(zip(*a))
 
 
-def is_identity(a: IntMatrix) -> bool:
-    return all(
-        a[r][c] == (1 if r == c else 0) for r in range(len(a)) for c in range(len(a[0]))
-    )
-
-
 def determinant(a: IntMatrix) -> int:
     """Fraction-free Bareiss determinant of a square integer matrix."""
     n = len(a)

@@ -38,11 +38,10 @@ class SmithForm:
     row target minus q times row source, in the order they were done (a sign
     change of row p is (p, p, 2)), and row_order[t] is the row at position t.
     left_times applies the log to a vector, which gives left * b without
-    left.  left_rows (row t of left, sparse) replays the log on the identity
-    on first access, and left, right and right_inverse are dense views built
-    on first access.  Only test oracles and counters read these four: no
-    library path does, and at (n, m) = (4, 4) the three dense ones take
-    about 640 MB.
+    left.  left, right and right_inverse are dense views built on first
+    access, left column by column from left_times on the unit vectors.  Only
+    test oracles and counters read these three: no library path does, and at
+    (n, m) = (4, 4) they take about 640 MB.
     """
 
     rows: int
@@ -64,16 +63,10 @@ class SmithForm:
         return tuple(out[r] for r in self.row_order)
 
     @cached_property
-    def left_rows(self) -> tuple[SparseVector, ...]:
-        left = [{r: 1} for r in range(self.rows)]
-        for target, source, q in self.row_operations:
-            # a sign change reads and writes the same row: only values change
-            add_multiple(left[target], left[source], q)
-        return tuple(left[r] for r in self.row_order)
-
-    @cached_property
     def left(self) -> IntMatrix:
-        return tuple(_dense_row(row, self.rows) for row in self.left_rows)
+        # column r of left is left times the r-th unit vector
+        columns = [self.left_times(_dense_row({r: 1}, self.rows)) for r in range(self.rows)]
+        return tuple(zip(*columns))
 
     @cached_property
     def right(self) -> IntMatrix:

@@ -42,6 +42,11 @@ def check_modulus(m: int) -> None:
         raise ValueError(f"modulus must be at least 2, got {m}")
 
 
+def check_same_strands(n: int, other: int) -> None:
+    if n != other:
+        raise ValueError(f"strand count mismatch: {n} vs {other}")
+
+
 @dataclass(frozen=True)
 class BraidWord:
     """A word in the Artin generators of the braid group on n strands."""
@@ -61,8 +66,7 @@ class BraidWord:
         return len(self.letters)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
-        if self.n != other.n:
-            raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
+        check_same_strands(self.n, other.n)
         return _checked_word(self.n, self.letters + other.letters)
 
     def __pow__(self, k: int) -> "BraidWord":
@@ -114,8 +118,7 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         # left to right: apply self first, then other
-        if self.n != other.n:
-            raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
+        check_same_strands(self.n, other.n)
         return _checked_permutation(tuple(other.images[i - 1] for i in self.images))
 
     def inverse(self) -> "Permutation":
@@ -234,11 +237,11 @@ class LinkingVector:
         return cls(n, tuple(coords))
 
     def __add__(self, other: "LinkingVector") -> "LinkingVector":
-        self._check(other)
+        check_same_strands(self.n, other.n)
         return LinkingVector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "LinkingVector") -> "LinkingVector":
-        self._check(other)
+        check_same_strands(self.n, other.n)
         return LinkingVector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "LinkingVector":
@@ -247,24 +250,11 @@ class LinkingVector:
     def scaled(self, k: int) -> "LinkingVector":
         return LinkingVector(self.n, tuple(k * a for a in self.coords))
 
-    def _check(self, other: "LinkingVector") -> None:
-        if self.n != other.n:
-            raise ValueError(f"strand count mismatch: {self.n} vs {other.n}")
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
     def coordinate(self, pair: PairIndex) -> int:
         return self.coords[pair_position(self.n, pair)]
-
-    def permuted(self, perm: Permutation) -> "LinkingVector":
-        """Move each coordinate from pair p to the pair image under perm."""
-        if perm.n != self.n:
-            raise ValueError(f"strand count mismatch: {self.n} vs {perm.n}")
-        out = [0] * len(self.coords)
-        for x, target in zip(self.coords, pair_action(perm)):
-            out[target] = x
-        return LinkingVector(self.n, tuple(out))
 
 
 def permutation(w: BraidWord) -> Permutation:

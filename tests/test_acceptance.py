@@ -36,7 +36,7 @@ from braidcong.cryst import (
     power_map_is_homomorphism,
     power_quotient_class,
 )
-from braidcong.matrices import is_identity, mat_vec
+from braidcong.matrices import identity, mat_vec
 from braidcong.words import (
     BraidWord,
     LinkingVector,
@@ -54,7 +54,7 @@ def test_criterion_01_generator_powers_lie_in_the_kernel():
     for n in range(3, 9):
         for m in range(2, 8):
             for i in range(1, n):
-                assert is_identity(burau_matrix_mod(BraidWord(n, (i,) * m), m))
+                assert burau_matrix_mod(BraidWord(n, (i,) * m), m) == identity(n)
 
 
 def test_criterion_02_full_twist_orders():
@@ -87,7 +87,7 @@ def test_criterion_04_squares_of_pure_words_lie_in_level_four():
 
 def test_criterion_05_torelli_chain_words_act_trivially():
     for (n, k) in [(3, 2), (4, 2), (5, 2), (5, 4), (6, 4), (7, 4)]:
-        assert is_identity(burau_matrix(torelli_chain(n, k)))
+        assert burau_matrix(torelli_chain(n, k)) == identity(n)
 
 
 def test_criterion_06_image_orders_match_group_order_formulas():
@@ -195,4 +195,4 @@ def test_criterion_12_normal_form_soundness():
 
 def test_criterion_13_transvection_model_agreement():
     for (n, m) in [(3, 2), (3, 3), (5, 2), (5, 3)]:
-        assert check_transvection_model(n, m, samples=200, seed=1013)
+        assert check_transvection_model(n, m, seed=1013)

@@ -515,7 +515,7 @@ def _dense(vector, degree):
 
 def _dense_action_rows(ab, w):
     """Rows rank.. of R^-1 theta R, with R, R^-1 and theta made dense here."""
-    table, n, degree = ab.table, ab.n, ab.num_generators
+    table, n, degree = ab.table, ab.table.n, ab.num_generators
     theta = []
     for c in range(1, table.size + 1):
         for i in range(1, n):
@@ -655,7 +655,7 @@ def _rewritten_action(ab, w):
     word, of length up to twice the tree depth plus one, from the coset w^-1
     reaches; then the free block and the torsion leak of R^-1 theta R.
     """
-    table, n, degree, rank = ab.table, ab.n, len(ab.right_columns), ab.rank
+    table, n, degree, rank = ab.table, ab.table.n, len(ab.right_columns), ab.rank
     torsion = [t for t in range(rank) if ab.diagonal[t] > 1]
     wanted = torsion + list(range(rank, degree))
     right_wanted = [{} for _ in range(ab.num_generators)]
@@ -693,7 +693,8 @@ def test_prefix_sum_action_matches_full_rewriting():
     cases.append(_level_two_torsion_quotient())
     leaked = False
     for ab in cases:
-        words = [full_twist(ab.n)] + [random_word(rng, ab.n, 12) for _ in range(5)]
+        n = ab.table.n
+        words = [full_twist(n)] + [random_word(rng, n, 12) for _ in range(5)]
         if ab.invariant_factors:
             words += [BraidWord(3, (1,)), BraidWord(3, (2,))]
         for w in words:

@@ -61,6 +61,29 @@ def test_section_word_is_reduced_and_correct():
         assert len(w) == _inversions(target)
 
 
+def _bubble_sort_word(perm: Permutation) -> BraidWord:
+    # oracle: bubble passes until one makes no swap
+    arr = list(perm.inverse().images)
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for p in range(perm.n - 1):
+            if arr[p] > arr[p + 1]:
+                arr[p], arr[p + 1] = arr[p + 1], arr[p]
+                swaps.append(p + 1)
+                changed = True
+    return BraidWord(perm.n, tuple(reversed(swaps)))
+
+
+def test_section_word_matches_bubble_sort_until_sorted():
+    """n - 1 passes sort any permutation, so the words equal those of the
+    bubble sort that stops after a pass without a swap."""
+    for n in range(2, 8):
+        for perm in all_permutations(n):
+            assert section_word(perm) == _bubble_sort_word(perm)
+
+
 def _braid_move_variants(letters):
     """All words one far-commutation or braid move away."""
     out = []

@@ -1,4 +1,5 @@
-"""Every imported name in the package and its tests is used.
+"""Every imported name in the package and its tests is used, and each
+error message the package raises is written once.
 
 A stdlib-only stand-in for a linter's unused-import rule.  Skipped: imports
 from __future__, star imports, names the module lists in __all__, and
@@ -135,3 +136,43 @@ def test_burau_imports_nothing_from_smith():
             modules += [alias.name for alias in node.names]
     assert modules
     assert [name for name in modules if "smith" in name.split(".")] == []
+
+
+def raise_templates(source: str) -> list[tuple[int, str]]:
+    """(line, message) of each raise E("...") or raise E(f"..."), with every
+    f-string field written as {}."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)):
+            continue
+        args = node.exc.args
+        first = args[0] if args else None
+        if isinstance(first, ast.Constant) and isinstance(first.value, str):
+            out.append((node.lineno, first.value))
+        elif isinstance(first, ast.JoinedStr):
+            parts = (p.value if isinstance(p, ast.Constant) else "{}" for p in first.values)
+            out.append((node.lineno, "".join(parts)))
+    return out
+
+
+def test_raise_templates_normalize_fields():
+    source = (
+        "def f(n, k):\n"
+        "    if n:\n"
+        "        raise ValueError(f'bad {n} vs {k!r:>3}' ' here')\n"
+        "    if k:\n"
+        "        raise KeyError('plain')\n"
+        "    raise RuntimeError\n"
+        "    raise ValueError(message)\n"
+    )
+    assert raise_templates(source) == [(3, "bad {} vs {} here"), (5, "plain")]
+
+
+def test_no_raise_message_is_written_twice():
+    """A check that two places need is one helper, so its message is one string."""
+    seen: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "src" / "braidcong").glob("*.py")):
+        for line, template in raise_templates(path.read_text()):
+            seen.setdefault(template, []).append(f"{path.name}:{line}")
+    assert seen
+    assert {t: where for t, where in seen.items() if len(where) > 1} == {}

@@ -4,6 +4,8 @@ from random import Random
 
 import pytest
 
+from braidcong import congruence, cryst
+from braidcong.cryst import CrystElement
 from braidcong.words import (
     BraidWord,
     LinkingVector,
@@ -62,12 +64,6 @@ def test_derived_words_equal_the_checked_construction():
         assert u**k == BraidWord(n, (u.letters if k >= 0 else u.inverse().letters) * abs(k))
         for w in (u * v, u.inverse(), u**k):
             assert type(w.letters) is tuple and w.n == n
-    with pytest.raises(ValueError, match="strand count mismatch: 3 vs 4"):
-        BraidWord(3, (1,)) * BraidWord(4, (1,))
-    with pytest.raises(ValueError, match="strand count mismatch: 3 vs 4"):
-        Permutation.identity(3) * Permutation.identity(4)
-    with pytest.raises(ValueError, match="strand count mismatch: 4 vs 3"):
-        Permutation.identity(4) * Permutation.identity(3)
     for letter in (0, 3, -3, 7):
         with pytest.raises(ValueError, match=f"letter {letter} is out of range for 3 strands"):
             BraidWord(3, (letter,))
@@ -154,16 +150,55 @@ def test_pair_positions_cover_lexicographic_order():
 def test_pair_action_matches_the_pair_index_oracle():
     for n in range(2, 7):
         pairs = pair_list(n)
-        coords = tuple(range(1, len(pairs) + 1))
         for perm in all_permutations(n):
             oracle = tuple(
                 pair_position(n, PairIndex(perm(p.i), perm(p.j))) for p in pairs
             )
             assert pair_action(perm) == oracle
-            moved = LinkingVector(n, coords).permuted(perm)
-            assert all(moved.coords[t] == x for x, t in zip(coords, oracle))
-    with pytest.raises(ValueError):
-        LinkingVector.zero(3).permuted(Permutation.identity(4))
+
+
+@pytest.mark.parametrize(
+    "call, a, b",
+    [
+        (lambda: BraidWord(3, (1,)) * BraidWord(4, (1,)), 3, 4),
+        (lambda: Permutation.identity(4) * Permutation.identity(3), 4, 3),
+        (lambda: CrystElement.identity(3) * CrystElement.identity(5), 3, 5),
+        (lambda: LinkingVector.zero(3) + LinkingVector.zero(4), 3, 4),
+        (lambda: LinkingVector.zero(4) - LinkingVector.zero(3), 4, 3),
+        (lambda: congruence.enumerate_image(3, 2).trace(1, BraidWord(4)), 4, 3),
+        (
+            lambda: congruence.subgroup_coordinates(
+                congruence.enumerate_image(3, 2), BraidWord(5)
+            ),
+            5,
+            3,
+        ),
+        (
+            lambda: congruence.conjugation_action(
+                congruence.abelianization(3, 2), BraidWord(4)
+            ),
+            4,
+            3,
+        ),
+        (lambda: cryst.power_endomorphism(4, 3, CrystElement.identity(3)), 3, 4),
+        (lambda: cryst.power_quotient_class(5, 3, CrystElement.identity(3)), 3, 5),
+    ],
+    ids=[
+        "BraidWord-product",
+        "Permutation-product",
+        "CrystElement-product",
+        "LinkingVector-sum",
+        "LinkingVector-difference",
+        "trace",
+        "subgroup_coordinates",
+        "conjugation_action",
+        "power_endomorphism",
+        "power_quotient_class",
+    ],
+)
+def test_strand_count_mismatch_has_one_message(call, a, b):
+    with pytest.raises(ValueError, match=rf"^strand count mismatch: {a} vs {b}$"):
+        call()
 
 
 def test_pure_generator_words():
@@ -236,7 +271,11 @@ def test_linking_vector_conjugation_permutes_pairs():
         w = random_pure_word(rng, n, factors=2)
         g = random_word(rng, n, 8)
         pi = permutation(g.inverse())
-        assert linking_vector(g * w * g.inverse()) == linking_vector(w).permuted(pi)
+        # the coordinate of each pair moves to the coordinate of its image
+        moved = [0] * pair_count(n)
+        for x, target in zip(linking_vector(w).coords, pair_action(pi)):
+            moved[target] = x
+        assert linking_vector(g * w * g.inverse()).coords == tuple(moved)
 
 
 def test_random_pure_words_are_pure():
