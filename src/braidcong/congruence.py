@@ -19,7 +19,7 @@ from . import matrices
 from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
 from .burau import _right_multiply, burau_matrix_mod
 from .smith import smith_normal_form
-from .words import BraidWord, check_modulus, check_same_strands, check_strand_count
+from .words import BraidWord, artin_relators, check_modulus, check_same_strands, check_strand_count
 
 __all__ = [
     "LimitExceeded",
@@ -31,7 +31,6 @@ __all__ = [
     "enumerate_image",
     "image_center",
     "coset_table",
-    "artin_relators",
     "subgroup_coordinates",
     "abelianization",
     "conjugation_action",
@@ -39,9 +38,9 @@ __all__ = [
 
 
 class LimitExceeded(RuntimeError):
-    """An enumeration or table size cap was hit.
+    """The image enumeration, and so the coset table, passed its size cap.
 
-    The message names the cap, element or coset; partial is the size reached.
+    Only enumerate_image raises it; partial is the element (= coset) count.
     """
 
     def __init__(self, message: str, partial: int | None = None):
@@ -89,7 +88,8 @@ class ImageGroup:
     the rows met only as images.
 
     The elements are the cosets of the level-m subgroup: coset c is element
-    c - 1, and trace and transversal take 1-based coset numbers.
+    c - 1, and trace and transversal take 1-based coset numbers, so a word w
+    reaches element trace(1, w) - 1.
     """
 
     n: int
@@ -110,24 +110,6 @@ class ImageGroup:
         if not 0 <= k < self.size:
             raise ValueError(f"element {k} out of range 0..{self.size - 1}")
         return tuple(map(self.rows.__getitem__, self.elements[k]))
-
-    @cached_property
-    def _row_numbers(self) -> dict[tuple[int, ...], int]:
-        return {row: r for r, row in enumerate(self.rows)}
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        # built on the first lookup; enumerate_image and image_center need none
-        return {e: k for k, e in enumerate(self.elements)}
-
-    def index_of(self, mat: IntMatrix) -> int:
-        """The number of the element an integer matrix reduces to mod m."""
-        m, row_numbers = self.m, self._row_numbers
-        key = tuple(row_numbers.get(tuple(x % m for x in row)) for row in mat)
-        k = self._index.get(key)
-        if k is None:
-            raise KeyError("matrix is not in the enumerated image")
-        return k
 
     @cached_property
     def transversals(self) -> tuple[tuple[int, ...], ...]:
@@ -167,7 +149,7 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     check_strand_count(n)
     check_modulus(m)
     if element_cap < 1:
-        raise ValueError(f"element cap must be positive, got {element_cap}")
+        raise ValueError(f"cap must be positive, got {element_cap}")
     letters = letter_order(n)
     rows = list(matrices.identity(n))
     row_index = {r: k for k, r in enumerate(rows)}
@@ -198,8 +180,8 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
             if target is None:
                 if len(states) >= element_cap:
                     raise LimitExceeded(
-                        f"image of ({n}, {m}) exceeds the element cap "
-                        f"{element_cap}; partial size {len(states)}",
+                        f"image of ({n}, {m}) exceeds the cap {element_cap}; "
+                        f"partial size {len(states)}",
                         partial=len(states),
                     )
                 target = len(states)
@@ -253,17 +235,6 @@ def coset_table(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     """Coset table of the level-m subgroup: the enumerated image itself."""
     # not an alias: perfbench/tracing.py wraps by identity, so one would merge layers
     return enumerate_image(n, m, element_cap)
-
-
-def artin_relators(n: int) -> tuple[BraidWord, ...]:
-    """The (n-1)(n-2)/2 defining relators of the braid group on n strands."""
-    rels = []
-    for i in range(1, n - 1):
-        rels.append(BraidWord(n, (i, i + 1, i, -(i + 1), -i, -(i + 1))))
-    for i in range(1, n - 1):
-        for j in range(i + 2, n):
-            rels.append(BraidWord(n, (i, j, -i, -j)))
-    return tuple(rels)
 
 
 def _rewrite(table: ImageGroup, start: int, letters: Sequence[int]) -> tuple[SparseVector, int]:
@@ -346,19 +317,10 @@ def abelianization(n: int, m: int, coset_cap: int = 10_000) -> AbelianizationRes
     generator is trivial, so its column is dropped instead of being killed by
     a unit row.  The Smith normal form's one elimination loop takes unit
     pivots of least fill first.  Its right transforms come back keyed by
-    Schreier coordinate.  The index is the image order, so the enumeration
-    stops as soon as it passes coset_cap; pass a larger cap to override.
+    Schreier coordinate.  The index is the image order, so coset_cap is the
+    element cap of enumerate_image, whose check and LimitExceeded it shares.
     """
-    if coset_cap < 1:
-        raise ValueError(f"coset cap must be positive, got {coset_cap}")
-    try:
-        table = coset_table(n, m, coset_cap)
-    except LimitExceeded as err:
-        raise LimitExceeded(
-            f"index of ({n}, {m}) exceeds the coset cap {coset_cap}; "
-            f"partial size {err.partial}",
-            partial=err.partial,
-        ) from err
+    table = coset_table(n, m, coset_cap)
     rows, columns = _relation_rows(table)
     # n = 2 has no relators, so the column count cannot come from a row
     form = smith_normal_form(rows, cols=len(columns))

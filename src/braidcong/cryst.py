@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .congruence import artin_relators
 from .matrices import IntMatrix
 from .smith import solve_integer
 from .words import (
@@ -35,6 +34,7 @@ from .words import (
     Permutation,
     _checked_permutation,
     _position,
+    artin_relators,
     check_same_strands,
     check_strand_count,
     pair_action,

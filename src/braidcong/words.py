@@ -25,6 +25,7 @@ __all__ = [
     "permutation",
     "pure_generator",
     "full_twist",
+    "artin_relators",
     "torelli_chain",
     "linking_vector",
     "random_word",
@@ -217,6 +218,7 @@ class LinkingVector:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        check_strand_count(self.n)
         if not isinstance(self.coords, tuple):
             object.__setattr__(self, "coords", tuple(self.coords))
         if len(self.coords) != pair_count(self.n):
@@ -282,6 +284,17 @@ def full_twist(n: int) -> BraidWord:
     return BraidWord(n, tuple(range(1, n)) * n)
 
 
+def artin_relators(n: int) -> tuple[BraidWord, ...]:
+    """The (n-1)(n-2)/2 defining relators of the braid group on n strands."""
+    rels = []
+    for i in range(1, n - 1):
+        rels.append(BraidWord(n, (i, i + 1, i, -(i + 1), -i, -(i + 1))))
+    for i in range(1, n - 1):
+        for j in range(i + 2, n):
+            rels.append(BraidWord(n, (i, j, -i, -j)))
+    return tuple(rels)
+
+
 def torelli_chain(n: int, k: int) -> BraidWord:
     """The (2k+2)-th power of the first k generators; pure for even k.
 
@@ -345,7 +358,7 @@ def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
     return _checked_word(n, tuple(letters))
 
 
-def random_pure_word(rng: Random, n: int, factors: int = 3) -> BraidWord:
+def random_pure_word(rng: Random, n: int, factors: int) -> BraidWord:
     """Random pure word: a product of conjugated standard pure generators."""
     w = BraidWord(n)
     for _ in range(factors):

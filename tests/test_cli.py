@@ -369,7 +369,7 @@ _PINNED = [
         "image --n 3 --m 3 --cap 5",
         2,
         "",
-        "error: cap exceeded: image of (3, 3) exceeds the element cap 5; partial size 5\n",
+        "error: cap exceeded: image of (3, 3) exceeds the cap 5; partial size 5\n",
         None,
     ),
     ("image --n 3 --m 1", 2, "", "error: modulus must be at least 2, got 1\n", None),
@@ -391,7 +391,7 @@ _PINNED = [
         "abelianization --n 3 --m 4 --cap 5",
         2,
         "",
-        "error: cap exceeded: index of (3, 4) exceeds the coset cap 5; partial size 5\n",
+        "error: cap exceeded: image of (3, 4) exceeds the cap 5; partial size 5\n",
         None,
     ),
     (

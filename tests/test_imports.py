@@ -123,10 +123,9 @@ def test_every_private_helper_is_referenced_in_the_package():
     assert orphans == []
 
 
-def test_burau_imports_nothing_from_smith():
-    """The invariant form is a closed formula, so the representation module
-    needs no integer solver."""
-    tree = ast.parse((ROOT / "src" / "braidcong" / "burau.py").read_text())
+def _imported_modules(module: str) -> list[str]:
+    # each module a package module imports, and each module.name it imports
+    tree = ast.parse((ROOT / "src" / "braidcong" / f"{module}.py").read_text())
     modules = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
@@ -135,7 +134,21 @@ def test_burau_imports_nothing_from_smith():
         elif isinstance(node, ast.Import):
             modules += [alias.name for alias in node.names]
     assert modules
+    return modules
+
+
+def test_burau_imports_nothing_from_smith():
+    """The invariant form is a closed formula, so the representation module
+    needs no integer solver."""
+    modules = _imported_modules("burau")
     assert [name for name in modules if "smith" in name.split(".")] == []
+
+
+def test_cryst_imports_nothing_from_congruence():
+    """The relators are words, so the crystallographic group law needs no
+    image enumeration or abelianization."""
+    modules = _imported_modules("cryst")
+    assert [name for name in modules if "congruence" in name.split(".")] == []
 
 
 def raise_templates(source: str) -> list[tuple[int, str]]:

@@ -36,6 +36,11 @@ def test_word_validation():
     with pytest.raises(ValueError):
         BraidWord(3, (-5,))
     assert len(BraidWord(5, ())) == 0
+    # pair_count(n) is 0, 0 and 3 here, so the coordinate count alone passes
+    for n in (1, 0, -2):
+        for build in (LinkingVector.zero, lambda n: LinkingVector(n, (0,) * pair_count(n))):
+            with pytest.raises(ValueError, match=f"^strand count must be at least 2, got {n}$"):
+                build(n)
 
 
 def test_word_algebra():
