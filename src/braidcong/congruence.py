@@ -13,6 +13,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from . import matrices
 # mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
@@ -142,29 +143,35 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
 
     A state is the tuple of its n row numbers in the orbit of the unit rows,
     used directly as a dict key; a letter maps each row number through that
-    letter's table.  The tables grow only for rows of scanned states, so a
-    search stopped by the cap never closes the whole row orbit, which can
-    have about m^(n-1) rows.
+    letter's table.  The search scans one breadth-first level at a time, the
+    states found but not yet scanned: it grows the tables for the rows of
+    that level only, then forms every product of the level, state by state
+    and each state's letters in letter_order, so the numbering is that of a
+    scan of one state at a time.  A search stopped by the cap never closes
+    the whole row orbit, which can have about m^(n-1) rows.
     """
     check_strand_count(n)
     check_modulus(m)
-    if element_cap < 1:
-        raise ValueError(f"cap must be positive, got {element_cap}")
+    is_int = isinstance(element_cap, int) and not isinstance(element_cap, bool)
+    if not is_int or element_cap < 1:
+        need = "positive" if is_int else "an integer"
+        raise ValueError(f"cap must be {need}, got {element_cap!r}")
     letters = letter_order(n)
+    width = len(letters)
     rows = list(matrices.identity(n))
     row_index = {r: k for k, r in enumerate(rows)}
     tables: list[list[int]] = [[] for _ in letters]
-    # bound to the growing lists, so they see rows appended later
-    lookups = [table.__getitem__ for table in tables]
     filled = tables[0]
     start = tuple(range(n))
     states = [start]
-    index = {start: 0}
+    number = {start: 0}.setdefault
     parents: list[tuple[int, int] | None] = [None]
     edges: list[tuple[int, ...]] = []
-    # states grows while it is scanned: discovery order is the numbering
-    for k, current in enumerate(states):
-        while len(filled) <= max(current):
+    k = 0
+    while k < len(states):
+        level = states[k:]
+        top = max(map(max, level))
+        while len(filled) <= top:
             source = rows[len(filled)]
             for letter, table in zip(letters, tables):
                 image = _row_letter(source, letter, m)
@@ -173,23 +180,28 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
                     r = row_index[image] = len(rows)
                     rows.append(image)
                 table.append(r)
-        out = []
-        for letter, lookup in zip(letters, lookups):
-            product = tuple(map(lookup, current))
-            target = index.get(product)
-            if target is None:
-                if len(states) >= element_cap:
+        flat = list(chain.from_iterable(level))
+        # per letter, the products of the level's states in order, n rows each
+        products = [zip(*[map(table.__getitem__, flat)] * n) for table in tables]
+        targets: list[int] = []
+        size = len(states)
+        # state by state, each state's letters in letter_order
+        for product in chain.from_iterable(zip(*products)):
+            target = number(product, size)
+            if target == size:
+                if size >= element_cap:
                     raise LimitExceeded(
                         f"image of ({n}, {m}) exceeds the cap {element_cap}; "
-                        f"partial size {len(states)}",
-                        partial=len(states),
+                        f"partial size {size}",
+                        partial=size,
                     )
-                target = len(states)
-                index[product] = target
+                f = len(targets)
                 states.append(product)
-                parents.append((k, letter))
-            out.append(target)
-        edges.append(tuple(out))
+                parents.append((k + f // width, letters[f % width]))
+                size += 1
+            targets.append(target)
+        edges += zip(*[iter(targets)] * width)
+        k += len(level)
     return ImageGroup(
         n=n,
         m=m,

@@ -332,7 +332,7 @@ def linking_vector(w: BraidWord) -> LinkingVector:
 
 
 def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
-    """Uniform random word of length 0..max_length.
+    """Uniform random word of length 0..max_length; max_length < 0 raises.
 
     The letters are rng.choice((1, -1)) * rng.randint(1, n - 1), drawn
     straight from rng.getrandbits by the rejection loops those two calls run
@@ -342,6 +342,8 @@ def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
     same as with the two calls.
     """
     check_strand_count(n)
+    if max_length < 0:
+        raise ValueError(f"max_length must be non-negative, got {max_length}")
     length = rng.randint(0, max_length)
     bits = rng.getrandbits
     top = n - 1

@@ -105,6 +105,9 @@ def test_strand_counts_below_two_are_rejected():
         (lambda: solve_integer(((1, 2),), (1, 2)), "length mismatch: 1 rows vs 2 entries"),
         (lambda: enumerate_image(3, 3, element_cap=0), "cap must be positive, got 0"),
         (lambda: abelianization(3, 3, coset_cap=0), "cap must be positive, got 0"),
+        (lambda: enumerate_image(3, 3, element_cap=2.5), "cap must be an integer, got 2.5"),
+        (lambda: enumerate_image(3, 3, element_cap=True), "cap must be an integer, got True"),
+        (lambda: abelianization(3, 3, coset_cap=10.0), "cap must be an integer, got 10.0"),
         (lambda: burau.invariant_form(1), "strand count must be at least 2, got 1"),
         (
             lambda: burau.transvection_generator(3, 3),
@@ -125,6 +128,9 @@ def test_strand_counts_below_two_are_rejected():
         "solve_integer-length",
         "enumerate_image-cap",
         "abelianization-cap",
+        "enumerate_image-cap-float",
+        "enumerate_image-cap-bool",
+        "abelianization-cap-float",
         "invariant_form-strands",
         "transvection_generator-index",
         "generator_matrix-sign",
@@ -139,9 +145,14 @@ def test_input_checks_raise_their_messages(call, message):
 
 
 def test_enumeration_respects_cap():
-    with pytest.raises(LimitExceeded) as err:
-        enumerate_image(3, 3, element_cap=10)
-    assert err.value.partial == 10
+    """A cap equal to the order is met; one below trips on the last element
+    found, and (4, 5) at 1000 trips inside the level from 417 to 1172."""
+    assert enumerate_image(3, 3, element_cap=24).size == 24
+    for n, m, cap in [(3, 3, 10), (3, 3, 23), (4, 5, 1000)]:
+        message = f"^image of \\({n}, {m}\\) exceeds the cap {cap}; partial size {cap}$"
+        with pytest.raises(LimitExceeded, match=message) as err:
+            enumerate_image(n, m, element_cap=cap)
+        assert err.value.partial == cap
 
 
 def test_capped_enumeration_does_bounded_row_work(monkeypatch):
@@ -167,6 +178,57 @@ def test_capped_enumeration_does_bounded_row_work(monkeypatch):
 def _product_mod(a, b, m):
     # oracle: the exact integer product, then reduced
     return tuple(tuple(x % m for x in row) for row in mat_mul(a, b))
+
+
+def _one_state_scan(n, m):
+    # reference: the search scanning one state at a time and one letter at a
+    # time, each row image an integer product reduced mod m
+    letters = letter_order(n)
+    gens = [burau_matrix_mod(BraidWord(n, (letter,)), m) for letter in letters]
+    rows = [tuple(int(r == c) for c in range(n)) for r in range(n)]
+    row_index = {row: r for r, row in enumerate(rows)}
+    tables = [[] for _ in letters]
+    states = [tuple(range(n))]
+    index = {states[0]: 0}
+    parents = [None]
+    edges = []
+    for k, current in enumerate(states):
+        while len(tables[0]) <= max(current):
+            source = rows[len(tables[0])]
+            for gen, table in zip(gens, tables):
+                image = _product_mod((source,), gen, m)[0]
+                if image not in row_index:
+                    row_index[image] = len(rows)
+                    rows.append(image)
+                table.append(row_index[image])
+        out = []
+        for letter, table in zip(letters, tables):
+            product = tuple(table[r] for r in current)
+            if product not in index:
+                index[product] = len(states)
+                states.append(product)
+                parents.append((k, letter))
+            out.append(index[product])
+        edges.append(tuple(out))
+    return {
+        "n": n,
+        "m": m,
+        "letters": letters,
+        "elements": tuple(states),
+        "edges": tuple(edges),
+        "parents": tuple(parents),
+        "rows": tuple(rows),
+        "row_images": tuple(map(tuple, tables)),
+    }
+
+
+@pytest.mark.parametrize(
+    "n, m", [(2, 5), (3, 2), (3, 7), (4, 3), (4, 4), (6, 2), (3, 16), (4, 5)]
+)
+def test_level_scan_matches_the_one_state_scan(n, m):
+    expected = _one_state_scan(n, m)
+    g = enumerate_image(n, m)
+    assert {name: getattr(g, name) for name in expected} == expected
 
 
 def test_enumeration_is_closed_under_generators():

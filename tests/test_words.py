@@ -316,6 +316,16 @@ def test_random_word_keeps_the_two_call_draw_stream():
     assert checked == 11 * 41 * 3
 
 
+def test_random_word_rejects_a_negative_length_before_drawing():
+    rng = Random(7)
+    state = rng.getstate()
+    for max_length in (-1, -5):
+        with pytest.raises(ValueError, match=f"^max_length must be non-negative, got {max_length}$"):
+            random_word(rng, 3, max_length)
+    assert rng.getstate() == state
+    assert random_word(rng, 3, 0) == BraidWord(3)
+
+
 def test_permutation_rejects_points_outside_its_range():
     p = Permutation((2, 1, 3))
     assert [p(x) for x in (1, 2, 3)] == [2, 1, 3]
