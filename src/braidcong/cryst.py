@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .matrices import IntMatrix
-from .smith import solve_integer
 from .words import (
     BraidWord,
     LinkingVector,
@@ -223,20 +222,34 @@ def pair_permutation_matrix(perm: Permutation) -> IntMatrix:
     return tuple(tuple(r) for r in rows)
 
 
-def _orbit_sum(perm: Permutation, k: int) -> IntMatrix:
-    """The sum of P^0 .. P^(k-1) for P = pair_permutation_matrix(perm).
+def _orbit_solution(perm: Permutation, k: int, base: tuple[int, ...]) -> tuple[int, ...] | None:
+    """An integer v with sum_{j<k} P^j v = -base, or None when there is none.
 
-    Column c of P^j is the unit vector of the j-th image of pair c, so the
-    sum is read off by following each pair's orbit for k steps.
+    P = pair_permutation_matrix(perm) and k is a multiple of perm's order.
+    On a pair orbit of size s, which divides k, the sum is k/s times the sum
+    of v over the orbit at every pair of the orbit.  So a solution exists
+    exactly when base is constant on each orbit and divisible by k/s there;
+    this one puts -base/(k/s) at the orbit's first pair in coordinate order
+    and 0 elsewhere.
     """
     action = pair_action(perm)
-    rows = [[0] * len(action) for _ in action]
-    for col in range(len(action)):
-        pos = col
-        for _ in range(k):
-            rows[pos][col] += 1
+    coords = [0] * len(action)
+    seen = [False] * len(action)
+    for start, value in enumerate(base):
+        if seen[start]:
+            continue
+        size, pos = 0, start
+        while not seen[pos]:
+            if base[pos] != value:
+                return None
+            seen[pos] = True
+            size += 1
             pos = action[pos]
-    return tuple(map(tuple, rows))
+        repeats = k // size
+        if value % repeats:
+            return None
+        coords[start] = -value // repeats
+    return tuple(coords)
 
 
 def _partitions(n: int, smallest: int = 1):
@@ -271,7 +284,11 @@ def torsion_search(n: int, k: int) -> CrystElement | None:
     Any finite-order element has the order of its permutation, so candidates
     are permutations of order k.  For each one, the vector part of the k-th
     power of (perm, v) is vec((perm, 0)^k) + sum_{j<k} P^j v, and torsion
-    exists exactly when that integer linear system has a solution.
+    exists exactly when that integer linear system has a solution.  The
+    system splits over the orbits of the pair action (_orbit_solution): it
+    is solvable exactly when vec((perm, 0)^k) is constant on each orbit of
+    size s and divisible by k/s there, so a candidate is decided in one walk
+    over the pairs, with no Smith normal form.
     Conjugation keeps the order and moves the permutation through its
     conjugacy class, so one permutation per cycle type of order k is tried:
     the first of its type in all_permutations order, one per partition of n
@@ -291,7 +308,7 @@ def torsion_search(n: int, k: int) -> CrystElement | None:
             continue
         perm = _first_of_type(parts)
         base = (CrystElement(n, perm, LinkingVector.zero(n)) ** k).vec
-        solution = solve_integer(_orbit_sum(perm, k), tuple(-x for x in base.coords))
+        solution = _orbit_solution(perm, k, base.coords)
         if solution is None:
             continue
         found = CrystElement(n, perm, LinkingVector(n, solution))

@@ -39,6 +39,8 @@ def check_strand_count(n: int) -> None:
 
 
 def check_modulus(m: int) -> None:
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise ValueError(f"modulus must be an integer, got {m!r}")
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
 

@@ -430,6 +430,21 @@ def test_every_modulus_below_two_is_rejected(m):
         check_transvection_model(3, m)
 
 
+@pytest.mark.parametrize("m", [2.5, 3.0, True])
+def test_every_non_integer_modulus_is_rejected(m):
+    w = BraidWord(3, (1, 2))
+    message = f"modulus must be an integer, got {m!r}"
+    for call in (
+        lambda: enumerate_image(3, m),
+        lambda: burau_matrix_mod(w, m),
+        lambda: is_member(w, m),
+        lambda: abelianization(3, m),
+        lambda: order_mod(burau_matrix(w), m),
+    ):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 7, 10**9])
 def test_letter_kernel_matches_the_exact_image_and_the_generator_product(m):
     rng = Random(2100 + m % 1000)

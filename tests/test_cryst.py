@@ -9,7 +9,7 @@ from braidcong.cryst import (
     CrystElement,
     _first_of_type,
     _letterwise_power,
-    _orbit_sum,
+    _orbit_solution,
     _partitions,
     _power_offset,
     element_order,
@@ -24,7 +24,7 @@ from braidcong.cryst import (
     section_word,
     torsion_search,
 )
-from braidcong.matrices import mat_mul, mat_vec
+from braidcong.matrices import IntMatrix, mat_mul, mat_vec
 from braidcong.smith import solve_integer
 from braidcong.words import (
     BraidWord,
@@ -495,8 +495,24 @@ def test_first_of_type_is_the_first_permutation_of_its_cycle_type():
         assert images == sorted(images)
 
 
+def _orbit_sum(perm: Permutation, k: int) -> IntMatrix:
+    """The sum of P^0 .. P^(k-1) for P = pair_permutation_matrix(perm).
+
+    Column c of P^j is the unit vector of the j-th image of pair c, so the
+    sum is read off by following each pair's orbit for k steps.
+    """
+    action = pair_action(perm)
+    rows = [[0] * len(action) for _ in action]
+    for col in range(len(action)):
+        pos = col
+        for _ in range(k):
+            rows[pos][col] += 1
+            pos = action[pos]
+    return tuple(map(tuple, rows))
+
+
 def _torsion_solution(perm: Permutation, k: int) -> tuple[int, ...] | None:
-    # the integer system torsion_search solves for a candidate permutation
+    # oracle: the integer system of torsion_search, solved by Smith normal form
     base = (CrystElement(perm.n, perm, LinkingVector.zero(perm.n)) ** k).vec
     return solve_integer(_orbit_sum(perm, k), tuple(-x for x in base.coords))
 
@@ -522,67 +538,73 @@ def test_torsion_search_matches_the_full_scan():
             assert torsion_search(n, k) == _full_scan_torsion_search(n, k), (n, k)
 
 
-def _pair_orbits(perm: Permutation) -> list[list[int]]:
-    action = pair_action(perm)
-    seen: set[int] = set()
-    orbits = []
-    for start in range(len(action)):
-        orbit = []
-        pos = start
-        while pos not in seen:
-            seen.add(pos)
-            orbit.append(pos)
-            pos = action[pos]
-        if orbit:
-            orbits.append(orbit)
-    return orbits
-
-
-def _orbit_criterion(perm: Permutation) -> CrystElement | None:
-    """An element of order k over perm, by orbit sums, or None if none exists.
-
-    Sum_{j<k} P^j v is (k/s) times the sum of v over the orbit at every pair
-    of an orbit of size s, so (perm, v)^k = 1 needs vec((perm, 0)^k) constant
-    on each orbit and divisible by k/s; v then carries the quotient at one
-    pair of each orbit.
-    """
-    n, k = perm.n, perm.order()
-    base = (CrystElement(n, perm, LinkingVector.zero(n)) ** k).vec.coords
-    coords = [0] * len(base)
-    for orbit in _pair_orbits(perm):
-        values = {base[pos] for pos in orbit}
-        repeats = k // len(orbit)
-        if len(values) != 1 or values.pop() % repeats:
-            return None
-        coords[orbit[0]] = -base[orbit[0]] // repeats
-    return CrystElement(n, perm, LinkingVector(n, tuple(coords)))
-
-
 def test_torsion_decisions_match_the_orbit_criterion():
-    """Each non-trivial cycle type with n <= 9, accepted or refused alike."""
-    types = 0
+    """The orbit closed form against the Smith normal form solve of the same
+    system, for each non-trivial cycle type with n <= 9, accepted or refused
+    alike: the two agree on the decision and on the solution."""
+    types = accepted = 0
     for n in range(2, 10):
-        accepted_by_order: dict[int, list[Permutation]] = {}
         for parts in _partitions(n):
             perm = _first_of_type(parts)
             k = perm.order()
             if k == 1:
                 continue
             types += 1
-            witness = _orbit_criterion(perm)
-            assert (witness is None) == (_torsion_solution(perm, k) is None), perm
-            accepted_by_order.setdefault(k, [])
-            if witness is not None:
-                assert element_order(witness) == k
-                accepted_by_order[k].append(perm)
-        for k, perms in accepted_by_order.items():
-            accepted = sorted(perms, key=lambda p: p.images)
-            found = torsion_search(n, k)
-            if not accepted:
-                assert found is None, (n, k)
-            else:
-                assert found.perm == accepted[0] and element_order(found) == k, (n, k)
+            base = (CrystElement(n, perm, LinkingVector.zero(n)) ** k).vec
+            solution = _orbit_solution(perm, k, base.coords)
+            assert solution == _torsion_solution(perm, k), perm
+            if solution is not None:
+                accepted += 1
+                assert element_order(CrystElement(n, perm, LinkingVector(n, solution))) == k
     assert types == 87
+    assert 0 < accepted < types
+
+
+def test_orbit_solution_decides_any_right_hand_side():
+    """Right-hand sides off the torsion system too, against the Smith solve:
+    S u for the orbit sum S is solvable, and raising one coordinate of it
+    by 1 breaks constancy on an orbit or divisibility by k/s."""
+    rng = Random(2801)
+    for n in range(2, 7):
+        for parts in _partitions(n):
+            perm = _first_of_type(parts)
+            k = perm.order()
+            if k == 1:
+                continue
+            sums = _orbit_sum(perm, k)
+            solvable = mat_vec(sums, tuple(rng.randint(-5, 5) for _ in sums))
+            for raised in range(-1, len(sums)):
+                base = tuple(x + (pos == raised) for pos, x in enumerate(solvable))
+                target = tuple(-x for x in base)
+                solution = _orbit_solution(perm, k, base)
+                assert (solution is None) == (raised >= 0), (perm, raised)
+                assert (solve_integer(sums, target) is None) == (raised >= 0), (perm, raised)
+                if solution is not None:
+                    assert mat_vec(sums, solution) == target, perm
+
+
+def _candidate_torsion_search(n: int, k: int) -> CrystElement | None:
+    # the search over the first permutation of each cycle type, by Smith normal form
+    for parts in _partitions(n):
+        if math.lcm(*parts) != k:
+            continue
+        perm = _first_of_type(parts)
+        solution = _torsion_solution(perm, k)
+        if solution is not None:
+            return CrystElement(n, perm, LinkingVector(n, solution))
+    return None
+
+
+def test_torsion_search_matches_the_smith_solve_past_the_full_scan():
+    """n = 8..12, where the scan over all permutations is too slow."""
+    found = 0
+    for n in range(8, 13):
+        for k in range(2, 16):
+            expected = _candidate_torsion_search(n, k)
+            assert torsion_search(n, k) == expected, (n, k)
+            found += expected is not None
+    # the odd permutation orders up to 15: 4 at n = 8, 5 at 9 and 10, 6 at 11 and 12
+    assert found == 26
 
 
 def _permutation_orders(n: int) -> set[int]:

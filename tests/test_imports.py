@@ -144,6 +144,13 @@ def test_burau_imports_nothing_from_smith():
     assert [name for name in modules if "smith" in name.split(".")] == []
 
 
+def test_cryst_imports_nothing_from_smith():
+    """Torsion candidates are decided by the pair orbits in closed form, so
+    the crystallographic group law needs no integer solver."""
+    modules = _imported_modules("cryst")
+    assert [name for name in modules if "smith" in name.split(".")] == []
+
+
 def test_cryst_imports_nothing_from_congruence():
     """The relators are words, so the crystallographic group law needs no
     image enumeration or abelianization."""
