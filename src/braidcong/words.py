@@ -363,7 +363,10 @@ def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
 
 
 def random_pure_word(rng: Random, n: int, factors: int) -> BraidWord:
-    """Random pure word: a product of conjugated standard pure generators."""
+    """Random pure word: a product of factors conjugated standard pure
+    generators; factors < 0 raises."""
+    if factors < 0:
+        raise ValueError(f"factors must be non-negative, got {factors}")
     w = BraidWord(n)
     for _ in range(factors):
         conj = random_word(rng, n, 4)

@@ -1,9 +1,19 @@
-"""The package's export list is the concatenation of its modules' lists."""
+"""The package's export list is the concatenation of its modules' lists,
+its submodules load on first use, and each package name is the defining
+module's current binding."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import braidcong
 from braidcong import burau, claims, congruence, cryst, smith, words
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 MODULES = [words, burau, smith, congruence, cryst, claims]
 
@@ -41,3 +51,76 @@ def test_package_exports_appear_in_their_defining_module():
             if getattr(braidcong, name) is not obj:
                 wrong.append(f"braidcong.{name} is not {module.__name__}.{name}")
     assert wrong == []
+
+
+def _fresh(statement: str) -> subprocess.CompletedProcess:
+    """Run statement after ``import braidcong`` in a new interpreter; its last
+    output line is the sorted list of braidcong submodules then loaded."""
+    code = (
+        "import json, sys, braidcong\n"
+        f"{statement}\n"
+        "print(json.dumps(sorted(n.split('.', 1)[1] for n in sys.modules"
+        " if n.startswith('braidcong.'))))"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+
+
+@pytest.mark.parametrize(
+    "statement, loaded",
+    [
+        ("pass", []),
+        ("braidcong.enumerate_image", ["burau", "congruence", "matrices", "smith", "words"]),
+        ("braidcong.CrystElement", ["cryst", "matrices", "words"]),
+        ("braidcong.cryst", ["cryst", "matrices", "words"]),
+        ("braidcong.matrices", ["matrices"]),
+    ],
+)
+def test_a_name_loads_only_its_module_and_what_that_imports(statement, loaded):
+    result = _fresh(statement)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == loaded
+
+
+def test_an_unknown_name_raises_the_standard_attribute_error_and_loads_nothing():
+    result = _fresh("try:\n    braidcong.nope\nexcept AttributeError as err:\n    print(err)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["module 'braidcong' has no attribute 'nope'", "[]"]
+
+
+def test_export_lists_read_from_source_are_the_module_lists():
+    result = _fresh("print(json.dumps([braidcong._source_exports(m) for m in braidcong._MODULES]))")
+    assert result.returncode == 0, result.stderr
+    before, loaded = (json.loads(line) for line in result.stdout.splitlines()[-2:])
+    assert loaded == []
+    assert before == [module.__all__ for module in MODULES]
+
+
+def test_package_names_follow_the_module_binding(monkeypatch):
+    original = cryst.normal_form
+
+    def patched(word):
+        return original(word)
+
+    monkeypatch.setattr(cryst, "normal_form", patched)
+    assert braidcong.normal_form is patched
+    monkeypatch.undo()
+    assert braidcong.normal_form is original
+
+
+def test_star_import_binds_every_export():
+    namespace: dict = {}
+    exec("from braidcong import *", namespace)
+    assert [n for n in braidcong.__all__ if namespace.get(n) is not getattr(braidcong, n)] == []
+
+
+def test_dir_lists_the_submodules_and_the_exports():
+    listed = set(dir(braidcong))
+    assert {module.__name__.split(".")[1] for module in MODULES} <= listed
+    assert set(braidcong.__all__) <= listed

@@ -102,25 +102,58 @@ def _referenced_names(node: ast.AST) -> set[str]:
     }
 
 
-def test_every_private_helper_is_referenced_in_the_package():
-    """Each module-level _name function or class in the package is read by
-    some package code outside its own definition; tests do not count."""
+def orphan_helpers(sources: dict[str, str]) -> list[str]:
+    """file:name of each module-level _name function or class that no other
+    top-level statement of the sources reads.  Dunder names such as
+    __getattr__ are called by the interpreter, so they are not helpers."""
     helpers: list[tuple[str, ast.stmt]] = []
     references: list[tuple[ast.stmt, set[str]]] = []
-    for path in sorted((ROOT / "src" / "braidcong").glob("*.py")):
-        for node in ast.parse(path.read_text()).body:
+    for filename, source in sources.items():
+        for node in ast.parse(source).body:
             references.append((node, _referenced_names(node)))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_"):
-                helpers.append((f"{path.name}:{node.name}", node))
-    orphans = [
+            if (
+                isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and node.name.startswith("_")
+                and not (node.name.startswith("__") and node.name.endswith("__"))
+            ):
+                helpers.append((f"{filename}:{node.name}", node))
+    return [
         label
         for label, definition in helpers
         if not any(
             definition.name in names for node, names in references if node is not definition
         )
     ]
-    assert helpers
-    assert orphans == []
+
+
+def test_orphan_scan_flags_only_unreferenced_helpers():
+    sources = {
+        "a.py": (
+            "def __getattr__(name):\n"
+            "    return _used(name)\n"
+            "def __dir__():\n"
+            "    return []\n"
+            "def _used(name):\n"
+            "    return name\n"
+            "def _helper():\n"
+            "    return _helper()\n"
+            "class _Lone:\n"
+            "    pass\n"
+        ),
+        "b.py": "class _Shared:\n    pass\n",
+        "c.py": "import b\nshared = b._Shared\n",
+    }
+    assert orphan_helpers(sources) == ["a.py:_helper", "a.py:_Lone"]
+
+
+def test_every_private_helper_is_referenced_in_the_package():
+    """Each module-level _name function or class in the package is read by
+    some package code outside its own definition; tests do not count."""
+    paths = sorted((ROOT / "src" / "braidcong").glob("*.py"))
+    sources = {path.name: path.read_text() for path in paths}
+    assert orphan_helpers(sources) == []
+    probe = {**sources, "probe.py": "def _probe():\n    pass\n"}
+    assert orphan_helpers(probe) == ["probe.py:_probe"]
 
 
 def _imported_modules(module: str) -> list[str]:

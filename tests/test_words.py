@@ -326,6 +326,16 @@ def test_random_word_rejects_a_negative_length_before_drawing():
     assert random_word(rng, 3, 0) == BraidWord(3)
 
 
+def test_random_pure_word_rejects_a_negative_factor_count_before_drawing():
+    rng = Random(7)
+    state = rng.getstate()
+    for factors in (-1, -5):
+        with pytest.raises(ValueError, match=f"^factors must be non-negative, got {factors}$"):
+            random_pure_word(rng, 3, factors)
+    assert rng.getstate() == state
+    assert random_pure_word(rng, 3, 0) == BraidWord(3)
+
+
 def test_permutation_rejects_points_outside_its_range():
     p = Permutation((2, 1, 3))
     assert [p(x) for x in (1, 2, 3)] == [2, 1, 3]
