@@ -15,10 +15,10 @@ import sys
 import time
 from collections import Counter
 from random import Random
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .burau import burau_matrix, burau_matrix_mod
-from .claims import SuiteConfig, VerificationReport, run_suite
 from .congruence import (
     LimitExceeded,
     abelianization,
@@ -26,16 +26,13 @@ from .congruence import (
     image_center,
     is_member,
 )
-from .cryst import (
-    CrystElement,
-    additivity_failures,
-    element_order,
-    normal_form,
-    power_endomorphism,
-    power_map_is_homomorphism,
-    power_map_scales_lattice,
-)
 from .words import BraidWord, pair_list, random_word
+
+# the verify suite and the crystallographic calculus load in the handlers
+# that use them, so image, abelianization, burau and member never run them
+if TYPE_CHECKING:
+    from .claims import VerificationReport
+    from .cryst import CrystElement
 
 _TOKEN = re.compile(r"[^\s,]+")
 _INTEGER = re.compile(r"[+-]?\d+")
@@ -148,11 +145,15 @@ def _cmd_abelianization(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_cryst_nf(args: argparse.Namespace) -> tuple[int, dict]:
+    from .cryst import normal_form
+
     w = parse_word(args.word, args.n)
     return 0, {"n": args.n, "word": format_word(w), **_element_report(normal_form(w))}
 
 
 def _cmd_cryst_order(args: argparse.Namespace) -> tuple[int, dict]:
+    from .cryst import element_order, normal_form
+
     w = parse_word(args.word, args.n)
     order = element_order(normal_form(w))
     print("infinite" if order is None else order)
@@ -160,12 +161,21 @@ def _cmd_cryst_order(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_cryst_power(args: argparse.Namespace) -> tuple[int, dict]:
+    from .cryst import normal_form, power_endomorphism
+
     w = parse_word(args.word, args.n)
     image = power_endomorphism(args.n, args.m, normal_form(w))
     return 0, {"n": args.n, "m": args.m, "word": format_word(w), **_element_report(image)}
 
 
 def _cmd_cryst_quotient_check(args: argparse.Namespace) -> tuple[int, dict]:
+    from .cryst import (
+        additivity_failures,
+        normal_form,
+        power_map_is_homomorphism,
+        power_map_scales_lattice,
+    )
+
     if args.samples < 1:
         raise ValueError(f"samples must be positive, got {args.samples}")
     rng = Random(args.seed)
@@ -223,8 +233,11 @@ def _print_report(report: VerificationReport) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
+    from .claims import SuiteConfig, run_suite
+
     claims = _claim_list(args.claims) if args.claims is not None else None
-    report = run_suite(SuiteConfig(seed=args.seed, claims=claims))
+    seed = SuiteConfig.seed if args.seed is None else args.seed
+    report = run_suite(SuiteConfig(seed=seed, claims=claims))
     _print_report(report)
     return (0 if report.passed else 1), report.to_json_dict()
 
@@ -295,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(handler=_cmd_cryst_quotient_check)
 
     p = sub.add_parser("verify", parents=[common_json], help="run the verification suite")
-    p.add_argument("--seed", type=int, default=SuiteConfig.seed, help="suite seed")
+    p.add_argument("--seed", type=int, help="suite seed")
     p.add_argument("--claims", help="comma-separated claim ids or prefixes")
     p.set_defaults(handler=_cmd_verify)
 

@@ -20,7 +20,14 @@ from . import matrices
 from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
 from .burau import _right_multiply, burau_matrix_mod
 from .smith import smith_normal_form
-from .words import BraidWord, artin_relators, check_modulus, check_same_strands, check_strand_count
+from .words import (
+    BraidWord,
+    artin_relators,
+    check_integer,
+    check_modulus,
+    check_same_strands,
+    check_strand_count,
+)
 
 __all__ = [
     "LimitExceeded",
@@ -152,10 +159,9 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     """
     check_strand_count(n)
     check_modulus(m)
-    is_int = isinstance(element_cap, int) and not isinstance(element_cap, bool)
-    if not is_int or element_cap < 1:
-        need = "positive" if is_int else "an integer"
-        raise ValueError(f"cap must be {need}, got {element_cap!r}")
+    check_integer("cap", element_cap)
+    if element_cap < 1:
+        raise ValueError(f"cap must be positive, got {element_cap}")
     letters = letter_order(n)
     width = len(letters)
     rows = list(matrices.identity(n))

@@ -8,6 +8,7 @@ permutations compose left to right: (p * q)(x) = q(p(x)).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,9 +39,14 @@ def check_strand_count(n: int) -> None:
         raise ValueError(f"strand count must be at least 2, got {n}")
 
 
+def check_integer(what: str, value: int) -> None:
+    # a float or a bool compares like a number but is not an exact integer input
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def check_modulus(m: int) -> None:
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise ValueError(f"modulus must be an integer, got {m!r}")
+    check_integer("modulus", m)
     if m < 2:
         raise ValueError(f"modulus must be at least 2, got {m}")
 
@@ -122,7 +128,8 @@ class Permutation:
     def __mul__(self, other: "Permutation") -> "Permutation":
         # left to right: apply self first, then other
         check_same_strands(self.n, other.n)
-        return _checked_permutation(tuple(other.images[i - 1] for i in self.images))
+        img = other.images
+        return _checked_permutation(tuple([img[i - 1] for i in self.images]))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -197,6 +204,20 @@ def _position(n: int, a: int, b: int) -> int:
     return (i - 1) * n - i * (i - 1) // 2 + (j - i - 1)
 
 
+@functools.cache
+def _pair_grid(n: int) -> tuple[int | None, ...]:
+    """_position(n, a, b) at index a * (n + 1) + b, for labels a != b in 1..n.
+
+    The group law's loops read a pair's coordinate here, one index per pair,
+    instead of calling _position.  The entries with a = b or a label 0 are
+    None, so a stray index fails instead of naming some coordinate.
+    """
+    labels = range(n + 1)
+    return tuple(
+        _position(n, a, b) if a and b and a != b else None for a in labels for b in labels
+    )
+
+
 def pair_position(n: int, pair: PairIndex) -> int:
     """0-based coordinate of a pair in the lexicographic order on pairs."""
     if pair.j > n:
@@ -207,8 +228,9 @@ def pair_position(n: int, pair: PairIndex) -> int:
 def pair_action(perm: Permutation) -> tuple[int, ...]:
     """For each pair coordinate, the coordinate of its image pair under perm."""
     n, images = perm.n, perm.images
+    grid, width = _pair_grid(n), n + 1
     return tuple(
-        _position(n, images[i], images[j]) for i in range(n) for j in range(i + 1, n)
+        [grid[images[i] * width + images[j]] for i in range(n) for j in range(i + 1, n)]
     )
 
 
@@ -242,23 +264,36 @@ class LinkingVector:
 
     def __add__(self, other: "LinkingVector") -> "LinkingVector":
         check_same_strands(self.n, other.n)
-        return LinkingVector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return _checked_vector(self.n, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "LinkingVector") -> "LinkingVector":
         check_same_strands(self.n, other.n)
-        return LinkingVector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return _checked_vector(self.n, tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "LinkingVector":
-        return LinkingVector(self.n, tuple(-a for a in self.coords))
+        return _checked_vector(self.n, tuple(-a for a in self.coords))
 
     def scaled(self, k: int) -> "LinkingVector":
-        return LinkingVector(self.n, tuple(k * a for a in self.coords))
+        return _checked_vector(self.n, tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coords)
 
     def coordinate(self, pair: PairIndex) -> int:
         return self.coords[pair_position(self.n, pair)]
+
+
+def _checked_vector(n: int, coords: tuple[int, ...]) -> LinkingVector:
+    """A vector from pair_count(n) coordinates, n >= 2, already known to fit.
+
+    Sums, differences, negations and multiples of checked vectors, and the
+    group law's products, skip LinkingVector.__post_init__ this way;
+    LinkingVector(n, coords) keeps it.
+    """
+    vec = object.__new__(LinkingVector)
+    object.__setattr__(vec, "n", n)
+    object.__setattr__(vec, "coords", coords)
+    return vec
 
 
 def permutation(w: BraidWord) -> Permutation:

@@ -1,6 +1,7 @@
 """Normal forms and torsion in the crystallographic braid quotient."""
 
 import math
+import re
 from random import Random
 
 import pytest
@@ -202,6 +203,12 @@ def test_torsion_search():
         torsion_search(3, 1)
 
 
+@pytest.mark.parametrize("k", [3.0, True])
+def test_torsion_search_rejects_an_order_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match=re.escape(f"order must be an integer, got {k!r}")):
+        torsion_search(5, k)
+
+
 @pytest.mark.parametrize("n", [1, 0])
 def test_strand_counts_below_two_are_rejected(n):
     message = f"strand count must be at least 2, got {n}"
@@ -245,12 +252,18 @@ def power_quotient_class_of_identity(n, m):
     ],
 )
 @pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("m", [0, -1, 3.0, True])
 def test_power_map_checks_reject_non_positive_powers(check, n, m):
     # a letter repeated m < 1 times is the empty word, which would make the
     # check vacuous; n = 2 has no braid relators, so the check runs at entry.
-    # The power map on elements says the same, not that m must be odd
-    with pytest.raises(ValueError, match=f"power must be positive, got {m}"):
+    # The power map on elements says the same, not that m must be odd.
+    # A float or a bool compares like a number but is no exact power: 3.0
+    # would give float coordinates and True would act as m = 1
+    if isinstance(m, int) and not isinstance(m, bool):
+        message = f"power must be positive, got {m}"
+    else:
+        message = f"power must be an integer, got {m!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
         check(n, m)
 
 
@@ -444,6 +457,25 @@ def test_closed_form_law_matches_the_word_path():
             assert a**k == _word_power(a, k)
         for b in elements:
             assert a * b == _word_product(a, b)
+
+
+def test_powers_match_repeated_products():
+    """a ** k against |k| factors of a, or of a.inverse() for k < 0, multiplied
+    one at a time: ** squares from the lowest set bit of k, the oracle does
+    not."""
+    rng = Random(830)
+    for n in range(2, 8):
+        identity = CrystElement.identity(n)
+        elements = [identity] + [_seeded_element(rng, n, large) for large in (False, True, False)]
+        for a in elements:
+            inverse = a.inverse()
+            assert a * inverse == identity
+            for k in range(-7, 10):
+                factor = a if k >= 0 else inverse
+                expected = identity
+                for _ in range(abs(k)):
+                    expected = expected * factor
+                assert a**k == expected, (n, k)
 
 
 def test_power_endomorphism_matches_letterwise_expansion():

@@ -7,7 +7,10 @@ imports on a line marked ``# noqa: F401`` (or a bare ``# noqa``).
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -229,3 +232,22 @@ def test_no_raise_message_is_written_twice():
             seen.setdefault(template, []).append(f"{path.name}:{line}")
     assert seen
     assert {t: where for t, where in seen.items() if len(where) > 1} == {}
+
+
+def test_cli_import_loads_neither_the_verify_suite_nor_the_crystallographic_calculus():
+    """image and abelianization start without running claims or cryst; the
+    handlers that need them import them when they run."""
+    code = (
+        "import sys, braidcong.cli\n"
+        "print(sorted({'braidcong.claims', 'braidcong.cryst'} & set(sys.modules)))"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]"]

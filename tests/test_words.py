@@ -11,6 +11,8 @@ from braidcong.words import (
     LinkingVector,
     PairIndex,
     Permutation,
+    _pair_grid,
+    _position,
     all_permutations,
     full_twist,
     linking_vector,
@@ -160,6 +162,19 @@ def test_pair_action_matches_the_pair_index_oracle():
                 pair_position(n, PairIndex(perm(p.i), perm(p.j))) for p in pairs
             )
             assert pair_action(perm) == oracle
+
+
+def test_pair_grid_tabulates_the_pair_position():
+    for n in range(2, 25):
+        width = n + 1
+        grid = _pair_grid(n)
+        assert len(grid) == width * width
+        for a in range(width):
+            for b in range(width):
+                expected = _position(n, a, b) if a and b and a != b else None
+                assert grid[a * width + b] == expected, (n, a, b)
+        # each coordinate appears once per order of its pair
+        assert sorted(x for x in grid if x is not None) == sorted(list(range(pair_count(n))) * 2)
 
 
 @pytest.mark.parametrize(
