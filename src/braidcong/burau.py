@@ -17,7 +17,7 @@ from random import Random
 
 from . import matrices
 from .matrices import IntMatrix
-from .words import BraidWord, check_modulus, check_strand_count, random_word
+from .words import BraidWord, check_integer, check_modulus, check_strand_count, random_word
 
 __all__ = [
     "generator_matrix",
@@ -33,8 +33,7 @@ __all__ = [
 
 
 def _check_generator(n: int, i: int, sign: int) -> None:
-    if not (1 <= i < n):
-        raise ValueError(f"generator index {i} out of range for {n} strands")
+    check_integer("generator index", i, 1, n - 1)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 

@@ -26,7 +26,7 @@ from .congruence import (
     image_center,
     is_member,
 )
-from .words import BraidWord, pair_list, random_word
+from .words import BraidWord, check_integer, pair_list, random_word
 
 # the verify suite and the crystallographic calculus load in the handlers
 # that use them, so image, abelianization, burau and member never run them
@@ -176,8 +176,7 @@ def _cmd_cryst_quotient_check(args: argparse.Namespace) -> tuple[int, dict]:
         power_map_scales_lattice,
     )
 
-    if args.samples < 1:
-        raise ValueError(f"samples must be positive, got {args.samples}")
+    check_integer("samples", args.samples, 1)
     rng = Random(args.seed)
     n, m = args.n, args.m
     relations_hold = power_map_is_homomorphism(n, m)

@@ -115,8 +115,7 @@ class ImageGroup:
 
     def matrix(self, k: int) -> IntMatrix:
         """Element k as rows with entries in [0, m)."""
-        if not 0 <= k < self.size:
-            raise ValueError(f"element {k} out of range 0..{self.size - 1}")
+        check_integer("element", k, 0, self.size - 1)
         return tuple(map(self.rows.__getitem__, self.elements[k]))
 
     @cached_property
@@ -127,13 +126,9 @@ class ImageGroup:
             words[k] = words[parent] + (letter,)
         return tuple(words)
 
-    def _check_coset(self, coset: int) -> None:
-        if not 1 <= coset <= self.size:
-            raise ValueError(f"coset {coset} out of range 1..{self.size}")
-
     def trace(self, coset: int, w: BraidWord) -> int:
         check_same_strands(w.n, self.n)
-        self._check_coset(coset)
+        check_integer("coset", coset, 1, self.size)
         x = coset - 1
         for letter in w.letters:
             x = self.edges[x][_letter_pos(letter)]
@@ -141,7 +136,7 @@ class ImageGroup:
 
     def transversal(self, coset: int) -> BraidWord:
         """The tree word carrying coset 1 to the given coset."""
-        self._check_coset(coset)
+        check_integer("coset", coset, 1, self.size)
         return BraidWord(self.n, self.transversals[coset - 1])
 
 
@@ -159,9 +154,7 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     """
     check_strand_count(n)
     check_modulus(m)
-    check_integer("cap", element_cap)
-    if element_cap < 1:
-        raise ValueError(f"cap must be positive, got {element_cap}")
+    check_integer("cap", element_cap, 1)
     letters = letter_order(n)
     width = len(letters)
     rows = list(matrices.identity(n))
@@ -319,8 +312,8 @@ class AbelianizationResult:
         x is {coordinate: exponent}, as subgroup_coordinates returns.
         """
         degree = self.num_generators
-        if any(not 0 <= k < degree for k in x):
-            raise ValueError(f"coordinate out of range 0..{degree - 1}")
+        for k in x:
+            check_integer("coordinate", k, 0, degree - 1)
         return tuple(
             sum(column.get(k, 0) * e for k, e in x.items())
             for column in self.right_columns[self.rank :]

@@ -21,18 +21,16 @@ compares labels of perm(a)^-1 computed in the same loop.  A product builds
 no Permutation for that and runs no validation, since its components come
 from checked ones (_checked_vector, _checked_element); the public
 constructors keep every check.  A power squares from the lowest set bit of
-k and never multiplies by the identity.  On the benchmark's cryst workload
-(n = 5 and 6, coordinates near 10^3) this took the median pass from 0.0023
-to 0.0013 reference seconds.  The word path, normalizing the product of
-representative words, stays as the independent check: verify claim c12
-compares the closed form with it, and so do the tests.
+k and never multiplies by the identity.  The word path, normalizing the
+product of representative words, stays as the independent check: verify
+claim c12 compares the closed form with it, and so do the tests.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .matrices import IntMatrix
 from .words import (
@@ -99,6 +97,7 @@ class CrystElement:
     vec: LinkingVector
 
     def __post_init__(self) -> None:
+        check_strand_count(self.n)
         if self.perm.n != self.n or self.vec.n != self.n:
             raise ValueError("component strand counts disagree")
 
@@ -122,6 +121,7 @@ class CrystElement:
         return _checked_element(self.n, inv, vec)
 
     def __pow__(self, k: int) -> "CrystElement":
+        check_integer("exponent", k)
         if k < 0:
             return self.inverse() ** (-k)
         if k == 0:
@@ -290,14 +290,25 @@ def _orbit_solution(perm: Permutation, k: int, base: tuple[int, ...]) -> tuple[i
     return tuple(coords)
 
 
-def _partitions(n: int, smallest: int = 1):
-    """The partitions of n into parts of at least smallest, in lexicographic
-    order, each listed shortest part first."""
+def _partitions(n: int, parts: Sequence[int] | None = None):
+    """The partitions of n into the given increasing parts (by default
+    1..n), in lexicographic order, each listed shortest part first."""
+    if parts is None:
+        parts = range(1, n + 1)
     if n == 0:
         yield ()
-    for part in range(smallest, n + 1):
-        for rest in _partitions(n - part, part):
+    for index, part in enumerate(parts):
+        if part > n:
+            break
+        for rest in _partitions(n - part, parts[index:]):
             yield (part,) + rest
+
+
+def _cycle_types(n: int, k: int):
+    """The partitions of n with lcm k, in _partitions order.  Each part of
+    one divides k, so only the divisors of k are tried as parts."""
+    divisors = [d for d in range(1, min(n, k) + 1) if k % d == 0]
+    return (parts for parts in _partitions(n, divisors) if math.lcm(*parts) == k)
 
 
 def _first_of_type(parts: tuple[int, ...]) -> Permutation:
@@ -313,7 +324,7 @@ def _first_of_type(parts: tuple[int, ...]) -> Permutation:
         images += range(start + 1, start + length)
         images.append(start)
         start += length
-    return Permutation(tuple(images))
+    return _checked_permutation(tuple(images))
 
 
 def torsion_search(n: int, k: int) -> CrystElement | None:
@@ -330,7 +341,9 @@ def torsion_search(n: int, k: int) -> CrystElement | None:
     Conjugation keeps the order and moves the permutation through its
     conjugacy class, so one permutation per cycle type of order k is tried:
     the first of its type in all_permutations order, one per partition of n
-    with lcm k, at most p(n) candidates instead of n! permutations.
+    with lcm k, at most p(n) candidates instead of n! permutations.  Only
+    partitions into divisors of k are generated (_cycle_types): at n = 24
+    and k = 7 that is 4 partitions of the 1575.
     Partitions come in lexicographic order, and so do the image tuples of
     their first permutations: where two partitions first differ, the shorter
     cycle closes on a smaller strand.  The candidates therefore come in the
@@ -339,18 +352,14 @@ def torsion_search(n: int, k: int) -> CrystElement | None:
     walk.
     """
     check_strand_count(n)
-    check_integer("order", k)
-    if k < 2:
-        raise ValueError(f"order must be at least 2, got {k}")
-    for parts in _partitions(n):
-        if math.lcm(*parts) != k:
-            continue
+    check_integer("order", k, 2)
+    for parts in _cycle_types(n, k):
         perm = _first_of_type(parts)
         base = (CrystElement(n, perm, LinkingVector.zero(n)) ** k).vec
         solution = _orbit_solution(perm, k, base.coords)
         if solution is None:
             continue
-        found = CrystElement(n, perm, LinkingVector(n, solution))
+        found = CrystElement(n, perm, _checked_vector(n, solution))
         if element_order(found) != k:
             raise RuntimeError("torsion candidate failed certification; bug")
         return found
@@ -380,14 +389,8 @@ def _letterwise_power(w: BraidWord, m: int) -> CrystElement:
     return normal_form(BraidWord(w.n, tuple(l for letter in w.letters for l in (letter,) * m)))
 
 
-def _require_positive(m: int) -> None:
-    check_integer("power", m)
-    if m < 1:
-        raise ValueError(f"power must be positive, got {m}")
-
-
 def _require_odd(m: int) -> None:
-    _require_positive(m)
+    check_integer("power", m, 1)
     if m % 2 == 0:
         raise ValueError(
             f"the power map is an endomorphism only for odd m, got {m}"
@@ -401,7 +404,7 @@ def power_map_is_homomorphism(n: int, m: int) -> bool:
     it), which is why power_endomorphism refuses even m.
     """
     check_strand_count(n)
-    _require_positive(m)
+    check_integer("power", m, 1)
     return all(_letterwise_power(rel, m).is_identity() for rel in artin_relators(n))
 
 
@@ -457,7 +460,7 @@ def power_map_scales_lattice(n: int, m: int) -> bool:
     times), not through power_endomorphism, which assumes this scaling.
     """
     check_strand_count(n)
-    _require_positive(m)
+    check_integer("power", m, 1)
     return all(
         _letterwise_power(pure_generator(n, p.i, p.j), m)
         == CrystElement.lattice(LinkingVector.unit(n, p.i, p.j).scaled(m))

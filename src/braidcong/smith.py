@@ -20,6 +20,7 @@ from .matrices import (
     sparse,
     sparse_combination,
 )
+from .words import check_integer
 
 __all__ = ["SmithForm", "smith_normal_form", "solve_integer", "kernel_basis"]
 
@@ -117,8 +118,8 @@ def smith_normal_form(matrix, cols: int | None = None) -> SmithForm:
     ncols = cols
     if ncols is None:
         ncols = len(matrix[0]) if nrows else 0
-    elif ncols < 0:
-        raise ValueError(f"column count must be non-negative, got {ncols}")
+    else:
+        check_integer("column count", ncols, 0)
     for r, row in enumerate(matrix):
         if len(row) != ncols:
             raise ValueError(f"row {r} has {len(row)} entries, expected {ncols}")

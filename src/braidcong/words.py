@@ -34,21 +34,30 @@ __all__ = [
 ]
 
 
-def check_strand_count(n: int) -> None:
-    if n < 2:
-        raise ValueError(f"strand count must be at least 2, got {n}")
+def check_integer(what: str, value: int, low: int | None = None, high: int | None = None) -> None:
+    """The package's one check of an integer parameter.
 
-
-def check_integer(what: str, value: int) -> None:
-    # a float or a bool compares like a number but is not an exact integer input
-    if not isinstance(value, int) or isinstance(value, bool):
+    The value must be an int and not a bool; then, when high is given, lie
+    in low..high, and otherwise, when low is given, be at least low.
+    """
+    # a float or a bool compares like a number but is not an exact integer
+    # input; a plain int, by far the most common, is passed on its type alone
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ValueError(f"{what} must be an integer, got {value!r}")
+    if high is not None:
+        if not low <= value <= high:
+            raise ValueError(f"{what} {value} out of range {low}..{high}")
+    elif low is not None and value < low:
+        bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+        raise ValueError(f"{what} must be {bound}, got {value}")
+
+
+def check_strand_count(n: int) -> None:
+    check_integer("strand count", n, 2)
 
 
 def check_modulus(m: int) -> None:
-    check_integer("modulus", m)
-    if m < 2:
-        raise ValueError(f"modulus must be at least 2, got {m}")
+    check_integer("modulus", m, 2)
 
 
 def check_same_strands(n: int, other: int) -> None:
@@ -68,6 +77,7 @@ class BraidWord:
         if not isinstance(self.letters, tuple):
             object.__setattr__(self, "letters", tuple(self.letters))
         for k in self.letters:
+            check_integer("letter", k)
             if k == 0 or abs(k) >= self.n:
                 raise ValueError(f"letter {k} is out of range for {self.n} strands")
 
@@ -79,6 +89,7 @@ class BraidWord:
         return _checked_word(self.n, self.letters + other.letters)
 
     def __pow__(self, k: int) -> "BraidWord":
+        check_integer("exponent", k)
         if k < 0:
             return self.inverse() ** (-k)
         return _checked_word(self.n, self.letters * k)
@@ -109,6 +120,8 @@ class Permutation:
     def __post_init__(self) -> None:
         if not isinstance(self.images, tuple):
             object.__setattr__(self, "images", tuple(self.images))
+        for y in self.images:
+            check_integer("image", y)
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
@@ -121,8 +134,7 @@ class Permutation:
         return len(self.images)
 
     def __call__(self, x: int) -> int:
-        if not 1 <= x <= len(self.images):
-            raise ValueError(f"point {x} is out of range 1..{len(self.images)}")
+        check_integer("point", x, 1, len(self.images))
         return self.images[x - 1]
 
     def __mul__(self, other: "Permutation") -> "Permutation":
@@ -162,8 +174,9 @@ class Permutation:
 def _checked_permutation(images: tuple[int, ...]) -> Permutation:
     """A permutation from images already known to be one of 1..len(images).
 
-    Products, inverses and normal_form's walk skip the sort check of
-    Permutation.__post_init__ this way; Permutation(images) keeps it.
+    Products, inverses, permutation(w), normal_form's walk and the torsion
+    candidates of cryst._first_of_type skip the checks of
+    Permutation.__post_init__ this way; Permutation(images) keeps them.
     """
     perm = object.__new__(Permutation)
     object.__setattr__(perm, "images", images)
@@ -178,6 +191,8 @@ class PairIndex:
     j: int
 
     def __post_init__(self) -> None:
+        check_integer("strand label", self.i)
+        check_integer("strand label", self.j)
         if self.i == self.j:
             raise ValueError(f"pair components must differ, got ({self.i}, {self.j})")
         if self.i > self.j:
@@ -250,10 +265,13 @@ class LinkingVector:
                 f"expected {pair_count(self.n)} coordinates for {self.n} strands, "
                 f"got {len(self.coords)}"
             )
+        for c in self.coords:
+            check_integer("coordinate", c)
 
     @classmethod
     def zero(cls, n: int) -> "LinkingVector":
-        return cls(n, (0,) * pair_count(n))
+        check_strand_count(n)
+        return _checked_vector(n, (0,) * pair_count(n))
 
     @classmethod
     def unit(cls, n: int, i: int, j: int) -> "LinkingVector":
@@ -274,6 +292,7 @@ class LinkingVector:
         return _checked_vector(self.n, tuple(-a for a in self.coords))
 
     def scaled(self, k: int) -> "LinkingVector":
+        check_integer("scale", k)
         return _checked_vector(self.n, tuple(k * a for a in self.coords))
 
     def is_zero(self) -> bool:
@@ -286,9 +305,9 @@ class LinkingVector:
 def _checked_vector(n: int, coords: tuple[int, ...]) -> LinkingVector:
     """A vector from pair_count(n) coordinates, n >= 2, already known to fit.
 
-    Sums, differences, negations and multiples of checked vectors, and the
-    group law's products, skip LinkingVector.__post_init__ this way;
-    LinkingVector(n, coords) keeps it.
+    Sums, differences, negations and multiples of checked vectors, the zero
+    vector, the group law's products and torsion_search's solutions skip
+    LinkingVector.__post_init__ this way; LinkingVector(n, coords) keeps it.
     """
     vec = object.__new__(LinkingVector)
     object.__setattr__(vec, "n", n)
@@ -305,7 +324,7 @@ def permutation(w: BraidWord) -> Permutation:
     images = [0] * w.n
     for pos, strand in enumerate(seats, start=1):
         images[strand - 1] = pos
-    return Permutation(tuple(images))
+    return _checked_permutation(tuple(images))
 
 
 def pure_generator(n: int, i: int, j: int) -> BraidWord:
@@ -379,8 +398,7 @@ def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
     same as with the two calls.
     """
     check_strand_count(n)
-    if max_length < 0:
-        raise ValueError(f"max_length must be non-negative, got {max_length}")
+    check_integer("max_length", max_length, 0)
     length = rng.randint(0, max_length)
     bits = rng.getrandbits
     top = n - 1
@@ -400,8 +418,7 @@ def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
 def random_pure_word(rng: Random, n: int, factors: int) -> BraidWord:
     """Random pure word: a product of factors conjugated standard pure
     generators; factors < 0 raises."""
-    if factors < 0:
-        raise ValueError(f"factors must be non-negative, got {factors}")
+    check_integer("factors", factors, 0)
     w = BraidWord(n)
     for _ in range(factors):
         conj = random_word(rng, n, 4)

@@ -1,5 +1,6 @@
 """Membership, image enumeration, coset tables, and abelianizations."""
 
+import argparse
 import hashlib
 import math
 from dataclasses import replace
@@ -7,7 +8,7 @@ from random import Random
 
 import pytest
 
-from braidcong import burau, congruence, cryst
+from braidcong import burau, cli, congruence, cryst
 from braidcong.congruence import (
     LimitExceeded,
     abelianization,
@@ -24,6 +25,9 @@ from braidcong.matrices import mat_mul, sparse_combination
 from braidcong.smith import kernel_basis, smith_normal_form, solve_integer
 from braidcong.words import (
     BraidWord,
+    LinkingVector,
+    PairIndex,
+    Permutation,
     artin_relators,
     full_twist,
     pair_count,
@@ -111,7 +115,7 @@ def test_strand_counts_below_two_are_rejected():
         (lambda: burau.invariant_form(1), "strand count must be at least 2, got 1"),
         (
             lambda: burau.transvection_generator(3, 3),
-            "generator index 3 out of range for 3 strands",
+            "generator index 3 out of range 1\\.\\.2",
         ),
         (lambda: burau.generator_matrix(3, 1, 0), "sign must be \\+1 or -1, got 0"),
         (lambda: burau.transvection_generator(3, 1, 2), "sign must be \\+1 or -1, got 2"),
@@ -142,6 +146,51 @@ def test_strand_counts_below_two_are_rejected():
 def test_input_checks_raise_their_messages(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+def _quotient_check(samples):
+    args = argparse.Namespace(n=3, m=3, seed=0, samples=samples)
+    return cli._cmd_cryst_quotient_check(args)
+
+
+_SIGMA = cryst.normal_form(BraidWord(3, (1,)))
+
+# each entry point that takes an integer parameter, as a call on the value v
+_INTEGER_PARAMETERS = {
+    "strand-count": lambda v: BraidWord(v),
+    "modulus": lambda v: burau_matrix_mod(BraidWord(3, (1,)), v),
+    "max_length": lambda v: random_word(Random(0), 3, v),
+    "factors": lambda v: random_pure_word(Random(0), 3, v),
+    "point": lambda v: Permutation((2, 1, 3))(v),
+    "cap": lambda v: enumerate_image(3, 3, element_cap=v),
+    "coset-trace": lambda v: coset_table(3, 2).trace(v, BraidWord(3)),
+    "coset-transversal": lambda v: coset_table(3, 2).transversal(v),
+    "element": lambda v: enumerate_image(3, 2).matrix(v),
+    "coordinate-key": lambda v: abelianization(3, 2).free_coordinates({v: 1}),
+    "power": lambda v: cryst.power_map_is_homomorphism(3, v),
+    "power-endomorphism": lambda v: cryst.power_endomorphism(3, v, _SIGMA),
+    "order": lambda v: cryst.torsion_search(5, v),
+    "generator-index": lambda v: burau.generator_matrix(3, v),
+    "column-count": lambda v: smith_normal_form((), cols=v),
+    "samples": _quotient_check,
+    "letter": lambda v: BraidWord(3, (v,)),
+    "permutation-image": lambda v: Permutation((v, 2)),
+    "pair-label": lambda v: PairIndex(v, 3),
+    "linking-coordinate": lambda v: LinkingVector(3, (v, 0, 0)),
+    "scale": lambda v: LinkingVector.unit(3, 1, 2).scaled(v),
+    "word-exponent": lambda v: BraidWord(3, (1,)) ** v,
+    "cryst-exponent": lambda v: _SIGMA**v,
+    "cryst-strand-count": lambda v: cryst.CrystElement(v, _SIGMA.perm, _SIGMA.vec),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+@pytest.mark.parametrize("call", _INTEGER_PARAMETERS.values(), ids=_INTEGER_PARAMETERS.keys())
+def test_integer_parameters_refuse_floats_and_bools(call, value):
+    """Every integer parameter goes through words.check_integer, which reads
+    neither a float nor a bool as an integer, whatever its value."""
+    with pytest.raises(ValueError, match=rf"must be an integer, got {value!r}$"):
+        call(value)
 
 
 def test_enumeration_respects_cap():

@@ -8,6 +8,7 @@ import pytest
 
 from braidcong.cryst import (
     CrystElement,
+    _cycle_types,
     _first_of_type,
     _letterwise_power,
     _orbit_solution,
@@ -525,6 +526,29 @@ def test_first_of_type_is_the_first_permutation_of_its_cycle_type():
         # torsion_search tries candidates in this order, which must be all_permutations'
         images = [_first_of_type(p).images for p in parts]
         assert images == sorted(images)
+
+
+def _every_partition(n: int, smallest: int = 1):
+    # the partitions of n into parts of at least smallest, lexicographic,
+    # each listed shortest part first
+    if n == 0:
+        yield ()
+    for part in range(smallest, n + 1):
+        for rest in _every_partition(n - part, part):
+            yield (part,) + rest
+
+
+def test_cycle_types_are_the_partitions_with_that_lcm_in_order():
+    """Partitions into divisors of k only, filtered by lcm, are those of
+    every partition of n filtered the same way, in the same order."""
+    for n in range(2, 21):
+        every = list(_every_partition(n))
+        for k in range(2, 31):
+            assert list(_cycle_types(n, k)) == [p for p in every if math.lcm(*p) == k], (n, k)
+    # torsion_search(24, 7) walks the partitions of 24 into 1s and 7s
+    assert sum(1 for _ in _partitions(24)) == 1575
+    ones_and_sevens = [(1,) * 24, (1,) * 17 + (7,), (1,) * 10 + (7, 7), (1, 1, 1, 7, 7, 7)]
+    assert list(_partitions(24, [1, 7])) == ones_and_sevens
 
 
 def _orbit_sum(perm: Permutation, k: int) -> IntMatrix:

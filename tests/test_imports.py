@@ -234,6 +234,60 @@ def test_no_raise_message_is_written_twice():
     assert {t: where for t, where in seen.items() if len(where) > 1} == {}
 
 
+# a lower bound or a range worded by hand instead of by words.check_integer
+BOUND_WORDING = re.compile(r"must be (?:positive|non-negative|at least)|out of range \S+\.\.\S+")
+
+
+def hand_written_bounds(sources: dict[str, str]) -> list[str]:
+    """file:line of each raise template worded as a bound or range check,
+    other than those of the function check_integer in words.py."""
+    found = []
+    for filename, source in sources.items():
+        rule = {
+            node.lineno
+            for function in ast.parse(source).body
+            if filename == "words.py"
+            and isinstance(function, ast.FunctionDef)
+            and function.name == "check_integer"
+            for node in ast.walk(function)
+            if isinstance(node, ast.Raise)
+        }
+        found += [
+            f"{filename}:{line}"
+            for line, template in raise_templates(source)
+            if line not in rule and BOUND_WORDING.search(template)
+        ]
+    return found
+
+
+def test_bound_scan_flags_hand_written_bounds_only():
+    check = (
+        "def check_integer(what, value, low):\n"
+        "    if value < low:\n"
+        "        raise ValueError(f'{what} must be at least {low}, got {value}')\n"
+    )
+    sources = {
+        "words.py": check,
+        "a.py": (
+            check
+            + "def f(k, n):\n"
+            "    if k < 1:\n"
+            "        raise ValueError(f'k must be positive, got {k}')\n"
+            "    if not 0 <= k < n:\n"
+            "        raise ValueError(f'k {k} out of range 0..{n - 1}')\n"
+            "    raise ValueError(f'letter {k} is out of range for {n} strands')\n"
+        ),
+    }
+    assert hand_written_bounds(sources) == ["a.py:3", "a.py:6", "a.py:8"]
+
+
+def test_integer_bounds_are_worded_only_by_check_integer():
+    """Every integer parameter's bound or range is checked by
+    words.check_integer, so no other raise words one."""
+    paths = sorted((ROOT / "src" / "braidcong").glob("*.py"))
+    assert hand_written_bounds({path.name: path.read_text() for path in paths}) == []
+
+
 def test_cli_import_loads_neither_the_verify_suite_nor_the_crystallographic_calculus():
     """image and abelianization start without running claims or cryst; the
     handlers that need them import them when they run."""

@@ -14,6 +14,7 @@ from braidcong.words import (
     _pair_grid,
     _position,
     all_permutations,
+    check_integer,
     full_twist,
     linking_vector,
     pair_action,
@@ -355,7 +356,7 @@ def test_permutation_rejects_points_outside_its_range():
     p = Permutation((2, 1, 3))
     assert [p(x) for x in (1, 2, 3)] == [2, 1, 3]
     for x in (0, -1, 4):
-        with pytest.raises(ValueError, match=rf"^point {x} is out of range 1\.\.3$"):
+        with pytest.raises(ValueError, match=rf"^point {x} out of range 1\.\.3$"):
             p(x)
 
 
@@ -369,3 +370,16 @@ def test_derived_permutations_pass_the_check():
         q = permutation(random_word(rng, n, 12))
         for r in (p * q, p.inverse()):
             assert Permutation(r.images) == r
+
+
+def test_check_integer_words_each_bound():
+    check_integer("x", -7)
+    check_integer("x", 0, 0)
+    check_integer("x", 3, 1, 3)
+    bounds = ((0, "non-negative"), (1, "positive"), (2, "at least 2"), (-3, "at least -3"))
+    for low, bound in bounds:
+        with pytest.raises(ValueError, match=f"^x must be {bound}, got {low - 1}$"):
+            check_integer("x", low - 1, low)
+    for value in (0, 4):
+        with pytest.raises(ValueError, match=rf"^x {value} out of range 1\.\.3$"):
+            check_integer("x", value, 1, 3)
