@@ -15,25 +15,16 @@ from collections.abc import Iterable
 from operator import mul
 from random import Random
 
-from . import matrices
+from . import _EXPORTS, matrices
 from .matrices import IntMatrix
 from .words import BraidWord, check_integer, check_modulus, check_strand_count, random_word
 
-__all__ = [
-    "generator_matrix",
-    "burau_matrix",
-    "burau_matrix_mod",
-    "order_mod",
-    "ones_vector",
-    "alternating_covector",
-    "invariant_form",
-    "transvection_generator",
-    "check_transvection_model",
-]
+__all__ = list(_EXPORTS["burau"])
 
 
 def _check_generator(n: int, i: int, sign: int) -> None:
     check_integer("generator index", i, 1, n - 1)
+    check_integer("sign", sign)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
 
@@ -289,9 +280,11 @@ def check_transvection_model(n: int, m: int, seed: int = 0) -> bool:
     kernel members (products of conjugated m-th generator powers), so the
     agreement is exercised in both directions.
     """
+    check_strand_count(n)
     if n % 2 != 1:
         raise ValueError(f"chain model comparison requires odd strand count, got {n}")
     check_modulus(m)
+    check_integer("seed", seed)
     rng = Random(seed)
     one, chain_one = matrices.identity(n), matrices.identity(n - 1)
     for t in range(200):

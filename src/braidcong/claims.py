@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
-from . import __version__
+from . import _EXPORTS, __version__
 from .burau import burau_matrix, burau_matrix_mod, check_transvection_model, order_mod
 from .congruence import (
     abelianization,
@@ -43,6 +43,7 @@ from .matrices import identity
 from .words import (
     BraidWord,
     LinkingVector,
+    check_integer,
     full_twist,
     permutation,
     pure_generator,
@@ -51,7 +52,7 @@ from .words import (
     torelli_chain,
 )
 
-__all__ = ["SuiteConfig", "ClaimResult", "VerificationReport", "run_suite"]
+__all__ = list(_EXPORTS["claims"])
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,7 @@ class SuiteConfig:
     claims: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_integer("seed", self.seed)
         if self.claims is None:
             return
         if isinstance(self.claims, str):

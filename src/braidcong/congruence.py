@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 
-from . import matrices
+from . import _EXPORTS, matrices
 # mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
 from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
 from .burau import _right_multiply, burau_matrix_mod
@@ -29,20 +29,7 @@ from .words import (
     check_strand_count,
 )
 
-__all__ = [
-    "LimitExceeded",
-    "ImageGroup",
-    "AbelianizationResult",
-    "ActionMatrix",
-    "is_member",
-    "letter_order",
-    "enumerate_image",
-    "image_center",
-    "coset_table",
-    "subgroup_coordinates",
-    "abelianization",
-    "conjugation_action",
-]
+__all__ = list(_EXPORTS["congruence"])
 
 
 class LimitExceeded(RuntimeError):
@@ -312,8 +299,9 @@ class AbelianizationResult:
         x is {coordinate: exponent}, as subgroup_coordinates returns.
         """
         degree = self.num_generators
-        for k in x:
+        for k, e in x.items():
             check_integer("coordinate", k, 0, degree - 1)
+            check_integer("exponent", e)
         return tuple(
             sum(column.get(k, 0) * e for k, e in x.items())
             for column in self.right_columns[self.rank :]

@@ -32,6 +32,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .matrices import IntMatrix
 from .words import (
     BraidWord,
@@ -50,21 +51,7 @@ from .words import (
     pure_generator,
 )
 
-__all__ = [
-    "CrystElement",
-    "section_word",
-    "normal_form",
-    "representative_word",
-    "element_order",
-    "torsion_search",
-    "power_endomorphism",
-    "power_map_is_homomorphism",
-    "in_power_image",
-    "power_quotient_class",
-    "power_map_scales_lattice",
-    "additivity_failures",
-    "pair_permutation_matrix",
-]
+__all__ = list(_EXPORTS["cryst"])
 
 
 def section_word(perm: Permutation) -> BraidWord:

@@ -13,6 +13,7 @@ import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
 
+from . import _EXPORTS
 from .matrices import (
     IntMatrix,
     SparseVector,
@@ -22,7 +23,7 @@ from .matrices import (
 )
 from .words import check_integer
 
-__all__ = ["SmithForm", "smith_normal_form", "solve_integer", "kernel_basis"]
+__all__ = list(_EXPORTS["smith"])
 
 
 @dataclass(frozen=True)

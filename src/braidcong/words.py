@@ -14,24 +14,9 @@ import math
 from dataclasses import dataclass
 from random import Random
 
-__all__ = [
-    "BraidWord",
-    "Permutation",
-    "PairIndex",
-    "pair_count",
-    "pair_list",
-    "pair_position",
-    "pair_action",
-    "LinkingVector",
-    "permutation",
-    "pure_generator",
-    "full_twist",
-    "artin_relators",
-    "torelli_chain",
-    "linking_vector",
-    "random_word",
-    "random_pure_word",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["words"])
 
 
 def check_integer(what: str, value: int, low: int | None = None, high: int | None = None) -> None:
@@ -235,6 +220,7 @@ def _pair_grid(n: int) -> tuple[int | None, ...]:
 
 def pair_position(n: int, pair: PairIndex) -> int:
     """0-based coordinate of a pair in the lexicographic order on pairs."""
+    check_strand_count(n)
     if pair.j > n:
         raise ValueError(f"pair {pair} is out of range for {n} strands")
     return _position(n, pair.i, pair.j)
@@ -329,8 +315,9 @@ def permutation(w: BraidWord) -> Permutation:
 
 def pure_generator(n: int, i: int, j: int) -> BraidWord:
     """The standard pure braid word twisting strands i and j once around each other."""
-    if not (1 <= i < j <= n):
-        raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
+    check_strand_count(n)
+    check_integer("strand i", i, 1, n - 1)
+    check_integer("strand j", j, i + 1, n)
     # sigma_(j-1) ... sigma_(i+1) sigma_i^2 sigma_(i+1)^-1 ... sigma_(j-1)^-1
     return _checked_word(n, (*range(j - 1, i, -1), i, i, *range(-i - 1, -j, -1)))
 
@@ -357,10 +344,10 @@ def torelli_chain(n: int, k: int) -> BraidWord:
     These elements are squares of Dehn twists about chains of an odd number of
     punctures and lie in the kernel of the integral representation.
     """
+    check_strand_count(n)
+    check_integer("chain length k", k, 2, n - 1)
     if k % 2 != 0:
         raise ValueError(f"chain length k must be even, got {k}")
-    if not (2 <= k < n):
-        raise ValueError(f"need 2 <= k < n, got k={k}, n={n}")
     return BraidWord(n, tuple(range(1, k + 1))) ** (2 * k + 2)
 
 

@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from braidcong import burau, cli, congruence, cryst
+from braidcong import burau, claims, cli, congruence, cryst
 from braidcong.congruence import (
     LimitExceeded,
     abelianization,
@@ -31,10 +31,12 @@ from braidcong.words import (
     artin_relators,
     full_twist,
     pair_count,
+    pair_position,
     permutation,
     pure_generator,
     random_pure_word,
     random_word,
+    torelli_chain,
 )
 
 # frozen from the reference implementation: BFS numbering of the mod-2 image
@@ -181,6 +183,18 @@ _INTEGER_PARAMETERS = {
     "word-exponent": lambda v: BraidWord(3, (1,)) ** v,
     "cryst-exponent": lambda v: _SIGMA**v,
     "cryst-strand-count": lambda v: cryst.CrystElement(v, _SIGMA.perm, _SIGMA.vec),
+    "pure-generator-strands": lambda v: pure_generator(v, 1, 2),
+    "pure-generator-i": lambda v: pure_generator(3, v, 3),
+    "pure-generator-j": lambda v: pure_generator(3, 1, v),
+    "torelli-strands": lambda v: torelli_chain(v, 2),
+    "torelli-length": lambda v: torelli_chain(5, v),
+    "sign": lambda v: burau.generator_matrix(3, 1, v),
+    "transvection-sign": lambda v: burau.transvection_generator(3, 1, v),
+    "coordinate-exponent": lambda v: abelianization(3, 2).free_coordinates({0: v}),
+    "suite-seed": lambda v: claims.SuiteConfig(seed=v),
+    "transvection-model-strands": lambda v: burau.check_transvection_model(v, 3),
+    "transvection-model-seed": lambda v: burau.check_transvection_model(3, 3, seed=v),
+    "pair-position-strands": lambda v: pair_position(v, PairIndex(1, 2)),
 }
 
 

@@ -94,12 +94,22 @@ def test_an_unknown_name_raises_the_standard_attribute_error_and_loads_nothing()
     assert result.stdout.splitlines() == ["module 'braidcong' has no attribute 'nope'", "[]"]
 
 
-def test_export_lists_read_from_source_are_the_module_lists():
-    result = _fresh("print(json.dumps([braidcong._source_exports(m) for m in braidcong._MODULES]))")
+def test_the_export_list_and_dir_load_no_module():
+    result = _fresh("braidcong.__all__\ndir(braidcong)")
     assert result.returncode == 0, result.stderr
-    before, loaded = (json.loads(line) for line in result.stdout.splitlines()[-2:])
-    assert loaded == []
-    assert before == [module.__all__ for module in MODULES]
+    assert json.loads(result.stdout.splitlines()[-1]) == []
+
+
+def test_a_name_loads_only_its_module_without_sources():
+    """The exporter comes from the package's table, so an install whose
+    loaders give no source text keeps the lazy split."""
+    result = _fresh(
+        "from importlib.machinery import SourceFileLoader\n"
+        "SourceFileLoader.get_source = lambda self, fullname: None\n"
+        "braidcong.CrystElement"
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == ["cryst", "matrices", "words"]
 
 
 def test_package_names_follow_the_module_binding(monkeypatch):

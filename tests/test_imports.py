@@ -288,6 +288,58 @@ def test_integer_bounds_are_worded_only_by_check_integer():
     assert hand_written_bounds({path.name: path.read_text() for path in paths}) == []
 
 
+def chained_range_guards(sources: dict[str, str]) -> list[str]:
+    """file:function of each raise under an if whose test holds a chained
+    comparison such as 1 <= i < j <= n, other than in the function
+    check_integer in words.py."""
+    found = []
+    for filename, source in sources.items():
+        for function in ast.walk(ast.parse(source)):
+            if not isinstance(function, ast.FunctionDef) or (
+                filename == "words.py" and function.name == "check_integer"
+            ):
+                continue
+            for node in ast.walk(function):
+                if (
+                    isinstance(node, ast.If)
+                    and any(
+                        isinstance(c, ast.Compare) and len(c.ops) > 1 for c in ast.walk(node.test)
+                    )
+                    and any(isinstance(r, ast.Raise) for s in node.body for r in ast.walk(s))
+                ):
+                    found.append(f"{filename}:{function.name}")
+    return found
+
+
+def test_chained_guard_scan_flags_hand_written_ranges_only():
+    check = (
+        "def check_integer(what, value, low, high):\n"
+        "    if not low <= value <= high:\n"
+        "        raise ValueError(what)\n"
+    )
+    sources = {
+        "words.py": check,
+        "a.py": (
+            check
+            + "def f(i, j, n):\n"
+            "    if not (1 <= i < j <= n):\n"
+            "        raise ValueError('need 1 <= i < j <= n')\n"
+            "    if i < n:\n"
+            "        raise ValueError('one comparison')\n"
+            "    if 0 <= i < n:\n"
+            "        return i\n"
+        ),
+    }
+    assert chained_range_guards(sources) == ["a.py:check_integer", "a.py:f"]
+
+
+def test_ranges_are_checked_only_by_check_integer():
+    """A range written as a chained comparison belongs in words.check_integer,
+    which also refuses floats and bools."""
+    paths = sorted((ROOT / "src" / "braidcong").glob("*.py"))
+    assert chained_range_guards({path.name: path.read_text() for path in paths}) == []
+
+
 def test_cli_import_loads_neither_the_verify_suite_nor_the_crystallographic_calculus():
     """image and abelianization start without running claims or cryst; the
     handlers that need them import them when they run."""
