@@ -17,12 +17,21 @@ from random import Random
 
 from . import _EXPORTS, matrices
 from .matrices import IntMatrix
-from .words import BraidWord, check_integer, check_modulus, check_strand_count, random_word
+from .words import (
+    BraidWord,
+    check_integer,
+    check_integers,
+    check_length,
+    check_modulus,
+    check_strand_count,
+    random_word,
+)
 
 __all__ = list(_EXPORTS["burau"])
 
 
 def _check_generator(n: int, i: int, sign: int) -> None:
+    check_strand_count(n)
     check_integer("generator index", i, 1, n - 1)
     check_integer("sign", sign)
     if sign not in (1, -1):
@@ -99,8 +108,7 @@ def _mul_mod(a: IntMatrix, b: IntMatrix, m: int) -> IntMatrix:
 
 def _pow_mod(a: IntMatrix, k: int, m: int) -> IntMatrix:
     # a^k mod m by repeated squaring
-    if k < 0:
-        raise ValueError("negative matrix power not supported")
+    check_integer("exponent", k, 0)
     out, base = matrices.identity(len(a)), a
     while k:
         if k & 1:
@@ -137,8 +145,8 @@ def order_mod(mat: IntMatrix, m: int) -> int | None:
     check_modulus(m)
     n = len(mat)
     for r, row in enumerate(mat):
-        if len(row) != n:
-            raise ValueError(f"row {r} has {len(row)} entries, the matrix has {n} rows")
+        check_length(f"row {r}", row, n)
+        check_integers("entry", row)
     mat = tuple(tuple(x % m for x in row) for row in mat)
     primes = _prime_factors(m)
     exact = max(primes) ** n <= _FACTOR_LIMIT
@@ -202,11 +210,13 @@ def _exponent_multiple(n: int, primes: dict[int, int]) -> dict[int, int]:
 
 def ones_vector(n: int) -> tuple[int, ...]:
     """The right-invariant column vector of the representation."""
+    check_strand_count(n)
     return (1,) * n
 
 
 def alternating_covector(n: int) -> tuple[int, ...]:
     """The left-invariant row vector (1, -1, 1, ...)."""
+    check_strand_count(n)
     return tuple((-1) ** k for k in range(n))
 
 

@@ -50,6 +50,7 @@ def is_member(w: BraidWord, m: int) -> bool:
 
 def letter_order(n: int) -> tuple[int, ...]:
     """The fixed letter scan order: each index, positive sign before negative."""
+    check_strand_count(n)
     return tuple(s * i for i in range(1, n) for s in (1, -1))
 
 

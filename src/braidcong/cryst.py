@@ -85,11 +85,12 @@ class CrystElement:
 
     def __post_init__(self) -> None:
         check_strand_count(self.n)
-        if self.perm.n != self.n or self.vec.n != self.n:
-            raise ValueError("component strand counts disagree")
+        check_same_strands(self.n, self.perm.n)
+        check_same_strands(self.n, self.vec.n)
 
     @classmethod
     def identity(cls, n: int) -> "CrystElement":
+        check_strand_count(n)
         return cls(n, Permutation.identity(n), LinkingVector.zero(n))
 
     @classmethod
@@ -465,6 +466,8 @@ def additivity_failures(
     power_quotient_class for the twisted rule that holds), so verify claim
     c10 and the quotient-check command, which both report it, fail by design.
     """
+    check_strand_count(n)
+    _require_odd(m)
     failures = []
     for x, y in pairs:
         lhs = power_quotient_class(n, m, x * y)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from . import _EXPORTS
 from .matrices import (
@@ -21,7 +22,7 @@ from .matrices import (
     sparse,
     sparse_combination,
 )
-from .words import check_integer
+from .words import check_integer, check_integers, check_length
 
 __all__ = list(_EXPORTS["smith"])
 
@@ -58,8 +59,8 @@ class SmithForm:
     def left_times(self, vector) -> tuple[int, ...]:
         """left * vector, from the row-operation log."""
         out = list(vector)
-        if len(out) != self.rows:
-            raise ValueError(f"length mismatch: {self.rows} rows vs {len(out)} entries")
+        check_length("vector", out, self.rows)
+        check_integers("entry", out)
         for target, source, q in self.row_operations:
             out[target] -= q * out[source]
         return tuple(out[r] for r in self.row_order)
@@ -122,9 +123,12 @@ def smith_normal_form(matrix, cols: int | None = None) -> SmithForm:
     else:
         check_integer("column count", ncols, 0)
     for r, row in enumerate(matrix):
+        # the label is formatted only for a bad row, so a good one costs a len
         if len(row) != ncols:
-            raise ValueError(f"row {r} has {len(row)} entries, expected {ncols}")
+            check_length(f"row {r}", row, ncols)
     rows = [sparse(row) for row in matrix]
+    # a zero entry never reaches the arithmetic, so only the nonzeros are read
+    check_integers("entry", chain.from_iterable(map(dict.values, rows)))
     # holders[c]: the rows with a nonzero entry in column c
     holders: list[set[int]] = [set() for _ in range(ncols)]
     for r, row in enumerate(rows):

@@ -37,6 +37,20 @@ def check_integer(what: str, value: int, low: int | None = None, high: int | Non
         raise ValueError(f"{what} must be {bound}, got {value}")
 
 
+def check_integers(what: str, values) -> None:
+    """check_integer on each value, none of them bounded; an int costs only
+    a type test."""
+    for value in values:
+        if type(value) is not int:
+            check_integer(what, value)
+
+
+def check_length(what: str, values, expected: int) -> None:
+    """The package's one check of the length of a row or vector."""
+    if len(values) != expected:
+        raise ValueError(f"{what} has {len(values)} entries, expected {expected}")
+
+
 def check_strand_count(n: int) -> None:
     check_integer("strand count", n, 2)
 
@@ -105,13 +119,14 @@ class Permutation:
     def __post_init__(self) -> None:
         if not isinstance(self.images, tuple):
             object.__setattr__(self, "images", tuple(self.images))
-        for y in self.images:
-            check_integer("image", y)
+        check_integers("image", self.images)
         if sorted(self.images) != list(range(1, len(self.images) + 1)):
             raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        # Permutation(()) is the permutation of no points, so n = 0 is allowed
+        check_integer("strand count", n, 0)
         return cls(tuple(range(1, n + 1)))
 
     @property
@@ -176,24 +191,24 @@ class PairIndex:
     j: int
 
     def __post_init__(self) -> None:
-        check_integer("strand label", self.i)
-        check_integer("strand label", self.j)
+        check_integer("strand label", self.i, 1)
+        check_integer("strand label", self.j, 1)
         if self.i == self.j:
             raise ValueError(f"pair components must differ, got ({self.i}, {self.j})")
         if self.i > self.j:
             lo, hi = self.j, self.i
             object.__setattr__(self, "i", lo)
             object.__setattr__(self, "j", hi)
-        if self.i < 1:
-            raise ValueError(f"strand labels start at 1, got ({self.i}, {self.j})")
 
 
 def pair_count(n: int) -> int:
+    check_strand_count(n)
     return n * (n - 1) // 2
 
 
 def pair_list(n: int) -> tuple[PairIndex, ...]:
     """All strand pairs in the fixed lexicographic coordinate order."""
+    check_strand_count(n)
     return tuple(PairIndex(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1))
 
 
@@ -221,8 +236,7 @@ def _pair_grid(n: int) -> tuple[int | None, ...]:
 def pair_position(n: int, pair: PairIndex) -> int:
     """0-based coordinate of a pair in the lexicographic order on pairs."""
     check_strand_count(n)
-    if pair.j > n:
-        raise ValueError(f"pair {pair} is out of range for {n} strands")
+    check_integer("strand label", pair.j, 1, n)
     return _position(n, pair.i, pair.j)
 
 
@@ -243,20 +257,14 @@ class LinkingVector:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        check_strand_count(self.n)
         if not isinstance(self.coords, tuple):
             object.__setattr__(self, "coords", tuple(self.coords))
-        if len(self.coords) != pair_count(self.n):
-            raise ValueError(
-                f"expected {pair_count(self.n)} coordinates for {self.n} strands, "
-                f"got {len(self.coords)}"
-            )
-        for c in self.coords:
-            check_integer("coordinate", c)
+        # pair_count checks the strand count
+        check_length("linking vector", self.coords, pair_count(self.n))
+        check_integers("coordinate", self.coords)
 
     @classmethod
     def zero(cls, n: int) -> "LinkingVector":
-        check_strand_count(n)
         return _checked_vector(n, (0,) * pair_count(n))
 
     @classmethod
@@ -324,11 +332,13 @@ def pure_generator(n: int, i: int, j: int) -> BraidWord:
 
 def full_twist(n: int) -> BraidWord:
     """The central full twist word, of length n(n-1)."""
+    check_strand_count(n)
     return BraidWord(n, tuple(range(1, n)) * n)
 
 
 def artin_relators(n: int) -> tuple[BraidWord, ...]:
     """The (n-1)(n-2)/2 defining relators of the braid group on n strands."""
+    check_strand_count(n)
     rels = []
     for i in range(1, n - 1):
         rels.append(BraidWord(n, (i, i + 1, i, -(i + 1), -i, -(i + 1))))

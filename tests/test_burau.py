@@ -123,9 +123,9 @@ def test_order_mod_basics():
     for m in (1, 0, -3):
         with pytest.raises(ValueError, match="modulus must be at least 2"):
             order_mod(identity(3), m)
-    with pytest.raises(ValueError, match="row 0 has 2 entries, the matrix has 1 rows"):
+    with pytest.raises(ValueError, match="row 0 has 2 entries, expected 1"):
         order_mod(((1, 2),), 3)
-    with pytest.raises(ValueError, match="row 1 has 1 entries, the matrix has 2 rows"):
+    with pytest.raises(ValueError, match="row 1 has 1 entries, expected 2"):
         order_mod(((1, 0), (0,)), 3)
 
 

@@ -31,6 +31,7 @@ from braidcong.words import (
     artin_relators,
     full_twist,
     pair_count,
+    pair_list,
     pair_position,
     permutation,
     pure_generator,
@@ -99,8 +100,24 @@ def test_image_orders():
 
 
 def test_strand_counts_below_two_are_rejected():
+    builds = (
+        enumerate_image,
+        coset_table,
+        abelianization,
+        lambda n, m: artin_relators(n),
+        lambda n, m: pair_count(n),
+        lambda n, m: letter_order(n),
+        lambda n, m: pair_list(n),
+        lambda n, m: burau.ones_vector(n),
+        lambda n, m: burau.alternating_covector(n),
+        lambda n, m: full_twist(n),
+        lambda n, m: burau.generator_matrix(n, 1),
+        lambda n, m: burau.transvection_generator(n, 1),
+        lambda n, m: cryst.CrystElement.identity(n),
+        lambda n, m: cryst.additivity_failures(n, m, []),
+    )
     for n in (1, 0, -3):
-        for build in (enumerate_image, coset_table, abelianization):
+        for build in builds:
             with pytest.raises(ValueError, match="strand count must be at least 2"):
                 build(n, 3)
 
@@ -108,7 +125,7 @@ def test_strand_counts_below_two_are_rejected():
 @pytest.mark.parametrize(
     "call, message",
     [
-        (lambda: solve_integer(((1, 2),), (1, 2)), "length mismatch: 1 rows vs 2 entries"),
+        (lambda: solve_integer(((1, 2),), (1, 2)), "vector has 2 entries, expected 1"),
         (lambda: enumerate_image(3, 3, element_cap=0), "cap must be positive, got 0"),
         (lambda: abelianization(3, 3, coset_cap=0), "cap must be positive, got 0"),
         (lambda: enumerate_image(3, 3, element_cap=2.5), "cap must be an integer, got 2.5"),
@@ -129,6 +146,18 @@ def test_strand_counts_below_two_are_rejected():
             lambda: cryst.power_quotient_class(4, 3, cryst.normal_form(BraidWord(3, (1,)))),
             "strand count mismatch: 3 vs 4",
         ),
+        (lambda: PairIndex(0, 3), "strand label must be positive, got 0"),
+        (lambda: pair_position(3, PairIndex(1, 4)), "strand label 4 out of range 1\\.\\.3"),
+        (
+            lambda: cryst.CrystElement(3, Permutation.identity(4), LinkingVector.zero(3)),
+            "strand count mismatch: 3 vs 4",
+        ),
+        (lambda: burau._pow_mod(((1,),), -1, 3), "exponent must be non-negative, got -1"),
+        (lambda: LinkingVector(3, (0, 0)), "linking vector has 2 entries, expected 3"),
+        (
+            lambda: cryst.additivity_failures(3, 2, []),
+            "the power map is an endomorphism only for odd m, got 2",
+        ),
     ],
     ids=[
         "solve_integer-length",
@@ -143,6 +172,12 @@ def test_strand_counts_below_two_are_rejected():
         "transvection_generator-sign",
         "conjugation_action-strands",
         "power_quotient_class-strands",
+        "PairIndex-label",
+        "pair_position-label",
+        "CrystElement-strands",
+        "pow_mod-exponent",
+        "LinkingVector-length",
+        "additivity_failures-even",
     ],
 )
 def test_input_checks_raise_their_messages(call, message):
@@ -195,6 +230,23 @@ _INTEGER_PARAMETERS = {
     "transvection-model-strands": lambda v: burau.check_transvection_model(v, 3),
     "transvection-model-seed": lambda v: burau.check_transvection_model(3, 3, seed=v),
     "pair-position-strands": lambda v: pair_position(v, PairIndex(1, 2)),
+    "smith-entry": lambda v: smith_normal_form(((v, 0), (0, 3))),
+    "solve-right-hand-side": lambda v: solve_integer(((2, 0), (0, 3)), (v, 3)),
+    "kernel-entry": lambda v: kernel_basis(((v, 3),)),
+    "order-mod-entry": lambda v: burau.order_mod(((v, 1), (1, 1)), 7),
+    "relator-strands": lambda v: artin_relators(v),
+    "pair-count-strands": lambda v: pair_count(v),
+    "letter-order-strands": lambda v: letter_order(v),
+    "pair-list-strands": lambda v: pair_list(v),
+    "ones-vector-strands": lambda v: burau.ones_vector(v),
+    "covector-strands": lambda v: burau.alternating_covector(v),
+    "full-twist-strands": lambda v: full_twist(v),
+    "generator-strands": lambda v: burau.generator_matrix(v, 1),
+    "transvection-strands": lambda v: burau.transvection_generator(v, 1),
+    "permutation-identity": lambda v: Permutation.identity(v),
+    "cryst-identity": lambda v: cryst.CrystElement.identity(v),
+    "additivity-strands": lambda v: cryst.additivity_failures(v, 3, []),
+    "additivity-power": lambda v: cryst.additivity_failures(3, v, []),
 }
 
 

@@ -238,26 +238,32 @@ def test_no_raise_message_is_written_twice():
 BOUND_WORDING = re.compile(r"must be (?:positive|non-negative|at least)|out of range \S+\.\.\S+")
 
 
-def hand_written_bounds(sources: dict[str, str]) -> list[str]:
-    """file:line of each raise template worded as a bound or range check,
-    other than those of the function check_integer in words.py."""
+def _worded_outside(sources: dict[str, str], rule: str, wording: re.Pattern) -> list[str]:
+    """file:line of each raise template that wording matches, other than
+    those of the function named rule in words.py."""
     found = []
     for filename, source in sources.items():
-        rule = {
+        exempt = {
             node.lineno
             for function in ast.parse(source).body
             if filename == "words.py"
             and isinstance(function, ast.FunctionDef)
-            and function.name == "check_integer"
+            and function.name == rule
             for node in ast.walk(function)
             if isinstance(node, ast.Raise)
         }
         found += [
             f"{filename}:{line}"
             for line, template in raise_templates(source)
-            if line not in rule and BOUND_WORDING.search(template)
+            if line not in exempt and wording.search(template)
         ]
     return found
+
+
+def hand_written_bounds(sources: dict[str, str]) -> list[str]:
+    """file:line of each raise template worded as a bound or range check,
+    other than those of the function check_integer in words.py."""
+    return _worded_outside(sources, "check_integer", BOUND_WORDING)
 
 
 def test_bound_scan_flags_hand_written_bounds_only():
@@ -286,6 +292,49 @@ def test_integer_bounds_are_worded_only_by_check_integer():
     words.check_integer, so no other raise words one."""
     paths = sorted((ROOT / "src" / "braidcong").glob("*.py"))
     assert hand_written_bounds({path.name: path.read_text() for path in paths}) == []
+
+
+# a length check worded by hand instead of by words.check_length
+LENGTH_WORDING = re.compile(
+    r"entries, expected|has \{\} entries|length mismatch|shape mismatch|coordinates for"
+)
+
+
+def hand_written_lengths(sources: dict[str, str]) -> list[str]:
+    """file:line of each raise template worded as a length mismatch, other
+    than those of the function check_length in words.py."""
+    return _worded_outside(sources, "check_length", LENGTH_WORDING)
+
+
+def test_length_scan_flags_hand_written_lengths_only():
+    check = (
+        "def check_length(what, values, n):\n"
+        "    if len(values) != n:\n"
+        "        raise ValueError(f'{what} has {len(values)} entries, expected {n}')\n"
+    )
+    sources = {
+        "words.py": check,
+        "a.py": (
+            check
+            + "def f(row, v, n):\n"
+            "    raise ValueError(f'row has {len(row)} entries, the matrix has {n} rows')\n"
+            "    raise ValueError(f'length mismatch: {n} rows vs {len(v)} entries')\n"
+            "    raise ValueError(f'expected {n} coordinates for {n} strands')\n"
+            "    raise ValueError(f'shape mismatch: {n} vs {len(v)}')\n"
+            "    raise ValueError(f'{n} entries is too many')\n"
+        ),
+    }
+    found = sorted(hand_written_lengths(sources))
+    assert found == ["a.py:3", "a.py:5", "a.py:6", "a.py:7", "a.py:8"]
+
+
+def test_lengths_are_worded_only_by_check_length():
+    """Every row or vector length is checked by words.check_length, so no
+    other raise words a length mismatch.  matrices.py keeps its own two:
+    it imports nothing, so that loading it loads no other module."""
+    paths = sorted((ROOT / "src" / "braidcong").glob("*.py"))
+    sources = {path.name: path.read_text() for path in paths if path.name != "matrices.py"}
+    assert hand_written_lengths(sources) == []
 
 
 def chained_range_guards(sources: dict[str, str]) -> list[str]:
