@@ -16,16 +16,8 @@ from operator import mul
 from random import Random
 
 from . import _EXPORTS, matrices
-from .matrices import IntMatrix
-from .words import (
-    BraidWord,
-    check_integer,
-    check_integers,
-    check_length,
-    check_modulus,
-    check_strand_count,
-    random_word,
-)
+from .matrices import IntMatrix, check_integer, check_rows
+from .words import BraidWord, check_modulus, check_strand_count, random_word
 
 __all__ = list(_EXPORTS["burau"])
 
@@ -144,9 +136,7 @@ def order_mod(mat: IntMatrix, m: int) -> int | None:
     """
     check_modulus(m)
     n = len(mat)
-    for r, row in enumerate(mat):
-        check_length(f"row {r}", row, n)
-        check_integers("entry", row)
+    check_rows(mat, n)
     mat = tuple(tuple(x % m for x in row) for row in mat)
     primes = _prime_factors(m)
     exact = max(primes) ** n <= _FACTOR_LIMIT

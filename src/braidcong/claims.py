@@ -39,11 +39,10 @@ from .cryst import (
     power_map_scales_lattice,
     power_quotient_class,
 )
-from .matrices import identity
+from .matrices import check_integer, identity
 from .words import (
     BraidWord,
     LinkingVector,
-    check_integer,
     full_twist,
     permutation,
     pure_generator,

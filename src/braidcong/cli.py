@@ -26,7 +26,8 @@ from .congruence import (
     image_center,
     is_member,
 )
-from .words import BraidWord, check_integer, pair_list, random_word
+from .matrices import check_integer
+from .words import BraidWord, pair_list, random_word
 
 # the verify suite and the crystallographic calculus load in the handlers
 # that use them, so image, abelianization, burau and member never run them

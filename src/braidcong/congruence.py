@@ -18,12 +18,12 @@ from itertools import chain
 from . import _EXPORTS, matrices
 # mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
 from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
+from .matrices import check_integer
 from .burau import _right_multiply, burau_matrix_mod
 from .smith import smith_normal_form
 from .words import (
     BraidWord,
     artin_relators,
-    check_integer,
     check_modulus,
     check_same_strands,
     check_strand_count,

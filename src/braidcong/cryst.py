@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import _EXPORTS
-from .matrices import IntMatrix
+from .matrices import IntMatrix, check_integer
 from .words import (
     BraidWord,
     LinkingVector,
@@ -42,7 +42,6 @@ from .words import (
     _checked_vector,
     _pair_grid,
     artin_relators,
-    check_integer,
     check_same_strands,
     check_strand_count,
     pair_action,

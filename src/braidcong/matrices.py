@@ -1,4 +1,10 @@
-"""Exact integer matrix helpers on immutable tuple-of-rows values.
+"""Exact integer matrix helpers on immutable tuple-of-rows values, and the
+package's rules for integer arguments and lengths.
+
+check_integer, check_integers and check_length are the one check of an
+integer argument and of a row or vector length; every module checks by
+them, and check_rows applies both to the rows of a matrix.  This module
+imports nothing from the package, so loading it loads no other module.
 
 Sparse vectors are dicts {index: entry} that hold no zero entries.
 """
@@ -13,14 +19,53 @@ IntMatrix = tuple[tuple[int, ...], ...]
 SparseVector = dict[int, int]
 
 
+def check_integer(what: str, value: int, low: int | None = None, high: int | None = None) -> None:
+    """The package's one check of an integer parameter.
+
+    The value must be an int and not a bool; then, when high is given, lie
+    in low..high, and otherwise, when low is given, be at least low.
+    """
+    # a float or a bool compares like a number but is not an exact integer
+    # input; a plain int, by far the most common, is passed on its type alone
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if high is not None:
+        if not low <= value <= high:
+            raise ValueError(f"{what} {value} out of range {low}..{high}")
+    elif low is not None and value < low:
+        bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
+        raise ValueError(f"{what} must be {bound}, got {value}")
+
+
+def check_integers(what: str, values) -> None:
+    """check_integer on each value, none of them bounded; an int costs only
+    a type test."""
+    for value in values:
+        if type(value) is not int:
+            check_integer(what, value)
+
+
+def check_length(what: str, values, expected: int) -> None:
+    """The package's one check of the length of a row or vector."""
+    if len(values) != expected:
+        raise ValueError(f"{what} has {len(values)} entries, expected {expected}")
+
+
+def check_rows(rows, width: int) -> None:
+    """check_length, then check_integers, on each row of a matrix."""
+    for r, row in enumerate(rows):
+        check_length(f"row {r}", row, width)
+        check_integers("entry", row)
+
+
 @cache
 def identity(n: int) -> IntMatrix:
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if len(a[0]) != len(b):
-        raise ValueError(f"shape mismatch: {len(a)}x{len(a[0])} times {len(b)}x{len(b[0])}")
+    check_rows(a, len(b))
+    check_rows(b, len(b[0]) if b else 0)
     bt = tuple(zip(*b))
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -28,8 +73,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 
 
 def mat_vec(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
-    if a and len(v) != len(a[0]):
-        raise ValueError(f"length mismatch: {len(a[0])} columns vs {len(v)} entries")
+    check_rows(a, len(v))
+    check_integers("entry", v)
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
 
 
@@ -60,12 +105,14 @@ def sparse_combination(
 
 
 def transpose(a: IntMatrix) -> IntMatrix:
+    check_rows(a, len(a[0]) if a else 0)
     return tuple(zip(*a))
 
 
 def determinant(a: IntMatrix) -> int:
     """Fraction-free Bareiss determinant of a square integer matrix."""
     n = len(a)
+    check_rows(a, n)
     if n == 0:
         return 1
     m = [list(row) for row in a]

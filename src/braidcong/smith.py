@@ -19,10 +19,12 @@ from .matrices import (
     IntMatrix,
     SparseVector,
     add_multiple,
+    check_integer,
+    check_integers,
+    check_length,
     sparse,
     sparse_combination,
 )
-from .words import check_integer, check_integers, check_length
 
 __all__ = list(_EXPORTS["smith"])
 

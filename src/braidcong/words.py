@@ -15,40 +15,9 @@ from dataclasses import dataclass
 from random import Random
 
 from . import _EXPORTS
+from .matrices import check_integer, check_integers, check_length
 
 __all__ = list(_EXPORTS["words"])
-
-
-def check_integer(what: str, value: int, low: int | None = None, high: int | None = None) -> None:
-    """The package's one check of an integer parameter.
-
-    The value must be an int and not a bool; then, when high is given, lie
-    in low..high, and otherwise, when low is given, be at least low.
-    """
-    # a float or a bool compares like a number but is not an exact integer
-    # input; a plain int, by far the most common, is passed on its type alone
-    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, int)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    if high is not None:
-        if not low <= value <= high:
-            raise ValueError(f"{what} {value} out of range {low}..{high}")
-    elif low is not None and value < low:
-        bound = {0: "non-negative", 1: "positive"}.get(low, f"at least {low}")
-        raise ValueError(f"{what} must be {bound}, got {value}")
-
-
-def check_integers(what: str, values) -> None:
-    """check_integer on each value, none of them bounded; an int costs only
-    a type test."""
-    for value in values:
-        if type(value) is not int:
-            check_integer(what, value)
-
-
-def check_length(what: str, values, expected: int) -> None:
-    """The package's one check of the length of a row or vector."""
-    if len(values) != expected:
-        raise ValueError(f"{what} has {len(values)} entries, expected {expected}")
 
 
 def check_strand_count(n: int) -> None:

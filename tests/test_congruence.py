@@ -21,7 +21,7 @@ from braidcong.congruence import (
     subgroup_coordinates,
 )
 from braidcong.burau import burau_matrix, burau_matrix_mod
-from braidcong.matrices import mat_mul, sparse_combination
+from braidcong.matrices import determinant, mat_mul, mat_vec, sparse_combination, transpose
 from braidcong.smith import kernel_basis, smith_normal_form, solve_integer
 from braidcong.words import (
     BraidWord,
@@ -247,13 +247,18 @@ _INTEGER_PARAMETERS = {
     "cryst-identity": lambda v: cryst.CrystElement.identity(v),
     "additivity-strands": lambda v: cryst.additivity_failures(v, 3, []),
     "additivity-power": lambda v: cryst.additivity_failures(3, v, []),
+    "mat-mul-entry": lambda v: mat_mul(((1, 0), (0, 1)), ((v, 0), (0, 1))),
+    "mat-vec-matrix-entry": lambda v: mat_vec(((v, 0), (0, 1)), (1, 1)),
+    "mat-vec-vector-entry": lambda v: mat_vec(((1, 0), (0, 1)), (v, 1)),
+    "determinant-entry": lambda v: determinant(((v, 0), (0, 1))),
+    "transpose-entry": lambda v: transpose(((1, v), (0, 1))),
 }
 
 
 @pytest.mark.parametrize("value", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
 @pytest.mark.parametrize("call", _INTEGER_PARAMETERS.values(), ids=_INTEGER_PARAMETERS.keys())
 def test_integer_parameters_refuse_floats_and_bools(call, value):
-    """Every integer parameter goes through words.check_integer, which reads
+    """Every integer parameter goes through matrices.check_integer, which reads
     neither a float nor a bool as an integer, whatever its value."""
     with pytest.raises(ValueError, match=rf"must be an integer, got {value!r}$"):
         call(value)

@@ -80,6 +80,7 @@ def _fresh(statement: str) -> subprocess.CompletedProcess:
         ("braidcong.CrystElement", ["cryst", "matrices", "words"]),
         ("braidcong.cryst", ["cryst", "matrices", "words"]),
         ("braidcong.matrices", ["matrices"]),
+        ("braidcong.smith_normal_form", ["matrices", "smith"]),
     ],
 )
 def test_a_name_loads_only_its_module_and_what_that_imports(statement, loaded):

@@ -194,6 +194,13 @@ def test_cryst_imports_nothing_from_congruence():
     assert [name for name in modules if "congruence" in name.split(".")] == []
 
 
+def test_smith_imports_nothing_from_words():
+    """The integer and length rules live in matrices, so the Smith normal
+    form needs nothing from the braid-word module."""
+    modules = _imported_modules("smith")
+    assert [name for name in modules if "words" in name.split(".")] == []
+
+
 def raise_templates(source: str) -> list[tuple[int, str]]:
     """(line, message) of each raise E("...") or raise E(f"..."), with every
     f-string field written as {}."""
@@ -234,19 +241,19 @@ def test_no_raise_message_is_written_twice():
     assert {t: where for t, where in seen.items() if len(where) > 1} == {}
 
 
-# a lower bound or a range worded by hand instead of by words.check_integer
+# a lower bound or a range worded by hand instead of by matrices.check_integer
 BOUND_WORDING = re.compile(r"must be (?:positive|non-negative|at least)|out of range \S+\.\.\S+")
 
 
 def _worded_outside(sources: dict[str, str], rule: str, wording: re.Pattern) -> list[str]:
     """file:line of each raise template that wording matches, other than
-    those of the function named rule in words.py."""
+    those of the function named rule in matrices.py."""
     found = []
     for filename, source in sources.items():
         exempt = {
             node.lineno
             for function in ast.parse(source).body
-            if filename == "words.py"
+            if filename == "matrices.py"
             and isinstance(function, ast.FunctionDef)
             and function.name == rule
             for node in ast.walk(function)
@@ -262,7 +269,7 @@ def _worded_outside(sources: dict[str, str], rule: str, wording: re.Pattern) -> 
 
 def hand_written_bounds(sources: dict[str, str]) -> list[str]:
     """file:line of each raise template worded as a bound or range check,
-    other than those of the function check_integer in words.py."""
+    other than those of the function check_integer in matrices.py."""
     return _worded_outside(sources, "check_integer", BOUND_WORDING)
 
 
@@ -273,7 +280,7 @@ def test_bound_scan_flags_hand_written_bounds_only():
         "        raise ValueError(f'{what} must be at least {low}, got {value}')\n"
     )
     sources = {
-        "words.py": check,
+        "matrices.py": check,
         "a.py": (
             check
             + "def f(k, n):\n"
@@ -289,12 +296,12 @@ def test_bound_scan_flags_hand_written_bounds_only():
 
 def test_integer_bounds_are_worded_only_by_check_integer():
     """Every integer parameter's bound or range is checked by
-    words.check_integer, so no other raise words one."""
+    matrices.check_integer, so no other raise words one."""
     paths = sorted((ROOT / "src" / "braidcong").glob("*.py"))
     assert hand_written_bounds({path.name: path.read_text() for path in paths}) == []
 
 
-# a length check worded by hand instead of by words.check_length
+# a length check worded by hand instead of by matrices.check_length
 LENGTH_WORDING = re.compile(
     r"entries, expected|has \{\} entries|length mismatch|shape mismatch|coordinates for"
 )
@@ -302,7 +309,7 @@ LENGTH_WORDING = re.compile(
 
 def hand_written_lengths(sources: dict[str, str]) -> list[str]:
     """file:line of each raise template worded as a length mismatch, other
-    than those of the function check_length in words.py."""
+    than those of the function check_length in matrices.py."""
     return _worded_outside(sources, "check_length", LENGTH_WORDING)
 
 
@@ -313,7 +320,7 @@ def test_length_scan_flags_hand_written_lengths_only():
         "        raise ValueError(f'{what} has {len(values)} entries, expected {n}')\n"
     )
     sources = {
-        "words.py": check,
+        "matrices.py": check,
         "a.py": (
             check
             + "def f(row, v, n):\n"
@@ -329,23 +336,21 @@ def test_length_scan_flags_hand_written_lengths_only():
 
 
 def test_lengths_are_worded_only_by_check_length():
-    """Every row or vector length is checked by words.check_length, so no
-    other raise words a length mismatch.  matrices.py keeps its own two:
-    it imports nothing, so that loading it loads no other module."""
+    """Every row or vector length is checked by matrices.check_length, so no
+    other raise words a length mismatch."""
     paths = sorted((ROOT / "src" / "braidcong").glob("*.py"))
-    sources = {path.name: path.read_text() for path in paths if path.name != "matrices.py"}
-    assert hand_written_lengths(sources) == []
+    assert hand_written_lengths({path.name: path.read_text() for path in paths}) == []
 
 
 def chained_range_guards(sources: dict[str, str]) -> list[str]:
     """file:function of each raise under an if whose test holds a chained
     comparison such as 1 <= i < j <= n, other than in the function
-    check_integer in words.py."""
+    check_integer in matrices.py."""
     found = []
     for filename, source in sources.items():
         for function in ast.walk(ast.parse(source)):
             if not isinstance(function, ast.FunctionDef) or (
-                filename == "words.py" and function.name == "check_integer"
+                filename == "matrices.py" and function.name == "check_integer"
             ):
                 continue
             for node in ast.walk(function):
@@ -367,7 +372,7 @@ def test_chained_guard_scan_flags_hand_written_ranges_only():
         "        raise ValueError(what)\n"
     )
     sources = {
-        "words.py": check,
+        "matrices.py": check,
         "a.py": (
             check
             + "def f(i, j, n):\n"
@@ -383,7 +388,7 @@ def test_chained_guard_scan_flags_hand_written_ranges_only():
 
 
 def test_ranges_are_checked_only_by_check_integer():
-    """A range written as a chained comparison belongs in words.check_integer,
+    """A range written as a chained comparison belongs in matrices.check_integer,
     which also refuses floats and bools."""
     paths = sorted((ROOT / "src" / "braidcong").glob("*.py"))
     assert chained_range_guards({path.name: path.read_text() for path in paths}) == []

@@ -9,7 +9,7 @@ import pytest
 from braidcong import smith
 from braidcong.congruence import abelianization, conjugation_action
 from braidcong.cryst import element_order, torsion_search
-from braidcong.matrices import determinant, identity, mat_mul, mat_vec, sparse
+from braidcong.matrices import determinant, identity, mat_mul, mat_vec, sparse, transpose
 from braidcong.smith import SmithForm, kernel_basis, smith_normal_form, solve_integer
 from braidcong.words import BraidWord, full_twist
 
@@ -366,3 +366,11 @@ def test_matrix_vector_products_check_lengths():
     for v in ((1, 0), (1, 0, 0, 0)):
         with pytest.raises(ValueError):
             mat_vec(a, v)
+    with pytest.raises(ValueError, match=r"^row 1 has 1 entries, expected 2$"):
+        mat_mul(((1, 2), (3,)), ((1,), (2,)))
+    with pytest.raises(ValueError, match=r"^row 0 has 2 entries, expected 1$"):
+        determinant(((1, 2),))
+    with pytest.raises(ValueError, match=r"^row 1 has 1 entries, expected 2$"):
+        determinant(((1, 2), (3,)))
+    with pytest.raises(ValueError, match=r"^row 1 has 1 entries, expected 2$"):
+        transpose(((1, 2), (3,)))

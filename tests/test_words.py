@@ -6,6 +6,7 @@ import pytest
 
 from braidcong import congruence, cryst
 from braidcong.cryst import CrystElement
+from braidcong.matrices import check_integer
 from braidcong.words import (
     BraidWord,
     LinkingVector,
@@ -14,7 +15,6 @@ from braidcong.words import (
     _pair_grid,
     _position,
     all_permutations,
-    check_integer,
     full_twist,
     linking_vector,
     pair_action,
