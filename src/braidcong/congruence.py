@@ -12,7 +12,6 @@ from __future__ import annotations
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import chain
 
 from . import _EXPORTS, matrices
@@ -23,6 +22,7 @@ from .burau import _right_multiply, burau_matrix_mod
 from .smith import smith_normal_form
 from .words import (
     BraidWord,
+    _checked_word,
     artin_relators,
     check_modulus,
     check_same_strands,
@@ -106,14 +106,6 @@ class ImageGroup:
         check_integer("element", k, 0, self.size - 1)
         return tuple(map(self.rows.__getitem__, self.elements[k]))
 
-    @cached_property
-    def transversals(self) -> tuple[tuple[int, ...], ...]:
-        # the tree word of every element, read off the parents on first use
-        words: list[tuple[int, ...]] = [()] * self.size
-        for k, (parent, letter) in enumerate(self.parents[1:], start=1):
-            words[k] = words[parent] + (letter,)
-        return tuple(words)
-
     def trace(self, coset: int, w: BraidWord) -> int:
         check_same_strands(w.n, self.n)
         check_integer("coset", coset, 1, self.size)
@@ -125,7 +117,13 @@ class ImageGroup:
     def transversal(self, coset: int) -> BraidWord:
         """The tree word carrying coset 1 to the given coset."""
         check_integer("coset", coset, 1, self.size)
-        return BraidWord(self.n, self.transversals[coset - 1])
+        # walk the parents back to the identity; every letter is in letter_order
+        letters: list[int] = []
+        step = self.parents[coset - 1]
+        while step is not None:
+            letters.append(step[1])
+            step = self.parents[step[0]]
+        return _checked_word(self.n, tuple(reversed(letters)))
 
 
 def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:

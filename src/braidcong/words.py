@@ -69,9 +69,9 @@ class BraidWord:
 def _checked_word(n: int, letters: tuple[int, ...]) -> BraidWord:
     """A word from letters already known to be in range for n >= 2 strands.
 
-    Products, inverses and powers of checked words, and random_word's draws,
-    skip the per-letter check of BraidWord.__post_init__; BraidWord(n, letters)
-    keeps it.
+    Products, inverses and powers of checked words, random_word's draws and
+    the coset tree's words, read back along ImageGroup.parents, skip the
+    per-letter check of BraidWord.__post_init__; BraidWord(n, letters) keeps it.
     """
     word = object.__new__(BraidWord)
     object.__setattr__(word, "n", n)

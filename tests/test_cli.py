@@ -233,6 +233,13 @@ def test_verify_filtering(capsys, tmp_path):
     assert set(data) == {"meta", "claims", "timing"}
 
 
+def test_verify_prints_a_failing_claims_detail(capsys):
+    assert main(["verify", "--claims", "c10"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("c10-power-map-structure  fail"))
+    assert lines[k + 1].startswith(" ") and "twisted rule" in lines[k + 1]
+
+
 def test_verify_reports_are_deterministic(tmp_path, capsys):
     paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for p in paths:

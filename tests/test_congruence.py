@@ -158,6 +158,8 @@ def test_strand_counts_below_two_are_rejected():
             lambda: cryst.additivity_failures(3, 2, []),
             "the power map is an endomorphism only for odd m, got 2",
         ),
+        (lambda: Permutation((1, 1)), "not a permutation of 1\\.\\.2: \\(1, 1\\)"),
+        (lambda: Permutation((0, 1)), "not a permutation of 1\\.\\.2: \\(0, 1\\)"),
     ],
     ids=[
         "solve_integer-length",
@@ -178,6 +180,8 @@ def test_strand_counts_below_two_are_rejected():
         "pow_mod-exponent",
         "LinkingVector-length",
         "additivity_failures-even",
+        "Permutation-repeat",
+        "Permutation-zero",
     ],
 )
 def test_input_checks_raise_their_messages(call, message):
@@ -418,7 +422,7 @@ def test_image_search_agrees_with_modular_matrix_products(n, m):
     words = [()] * g.size
     for k in range(1, g.size):
         words[k] = words[parents[k][0]] + (parents[k][1],)
-    assert table.transversals == tuple(words)
+    assert tuple(table.transversal(c).letters for c in range(1, g.size + 1)) == tuple(words)
     assert g.parents == tuple(parents)
     # the numbering is a bijection onto the distinct matrices
     assert len(set(mats)) == g.size
@@ -456,7 +460,7 @@ def test_coset_table_layout():
     t = coset_table(3, 2)
     assert t.size == 6
     assert t.edges == GOLDEN_32_ACTION
-    assert t.transversals == GOLDEN_32_TRANSVERSALS
+    assert tuple(t.transversal(c).letters for c in range(1, 7)) == GOLDEN_32_TRANSVERSALS
     # public interface is 1-based with coset 1 the subgroup itself
     assert t.trace(1, BraidWord(3, (1,))) == 2
     assert t.trace(1, BraidWord(3, (2,))) == 3
@@ -474,7 +478,7 @@ def _last_letter_tree(table):
     n = table.n
     tree = set()
     for c in range(1, table.size):
-        last = table.transversals[c][-1]
+        last = table.transversal(c + 1).letters[-1]
         if last > 0:
             parent = table.trace(c + 1, BraidWord(n, (-last,))) - 1
             tree.add(parent * (n - 1) + last - 1)
@@ -841,9 +845,10 @@ def _rewritten_action(ab, w):
         for k, x in ab.right_columns[t].items():
             right_wanted[k][j] = x
     start = table.trace(1, w.inverse()) - 1
-    backs = [tuple(-x for x in reversed(tau)) for tau in table.transversals]
+    taus = [table.transversal(c).letters for c in range(1, table.size + 1)]
+    backs = [tuple(-x for x in reversed(tau)) for tau in taus]
     theta_right = []
-    for c, tau in enumerate(table.transversals):
+    for c, tau in enumerate(taus):
         for i in range(1, n):
             back = backs[table.trace(c + 1, BraidWord(n, (i,))) - 1]
             coords, final = congruence._rewrite(table, start, tau + (i,) + back)

@@ -80,6 +80,15 @@ def test_derived_words_equal_the_checked_construction():
             random_word(Random(1), n, 5)
 
 
+def test_sequence_arguments_are_stored_as_tuples():
+    built = (BraidWord(3, [1, -2]), Permutation([2, 1, 3]), LinkingVector(3, [1, 0, 0]))
+    expected = (BraidWord(3, (1, -2)), Permutation((2, 1, 3)), LinkingVector(3, (1, 0, 0)))
+    for value, tuple_built in zip(built, expected):
+        assert value == tuple_built and hash(value) == hash(tuple_built)
+    word, perm, vec = built
+    assert type(word.letters) is type(perm.images) is type(vec.coords) is tuple
+
+
 def test_permutation_convention():
     # strand k ends at position images[k-1]; words act left to right
     assert permutation(BraidWord(3, (1,))).images == (2, 1, 3)
