@@ -18,7 +18,7 @@ from . import _EXPORTS, matrices
 # mat_mul stays bound here: perfbench/tracing.py traces congruence.mat_mul
 from .matrices import IntMatrix, SparseVector, mat_mul  # noqa: F401
 from .matrices import check_integer
-from .burau import _right_multiply, burau_matrix_mod
+from .burau import _is_identity_mod, _right_multiply
 from .smith import smith_normal_form
 from .words import (
     BraidWord,
@@ -44,8 +44,14 @@ class LimitExceeded(RuntimeError):
 
 
 def is_member(w: BraidWord, m: int) -> bool:
-    """Whether a word lies in the level-m congruence subgroup."""
-    return burau_matrix_mod(w, m) == matrices.identity(w.n)
+    """Whether a word lies in the level-m congruence subgroup.
+
+    Row 0 of the word's mod-m image is walked first, and the other rows only
+    when row 0 comes back to e_0.  The answer is exact: row r of g * sigma
+    is (row r of g) * sigma, so each row of the image is the product of its
+    identity row with the letters, walked on its own.
+    """
+    return _is_identity_mod(w, m)
 
 
 def letter_order(n: int) -> tuple[int, ...]:

@@ -134,8 +134,8 @@ class CrystElement:
 def _checked_element(n: int, perm: Permutation, vec: LinkingVector) -> CrystElement:
     """An element from components already known to be on n strands.
 
-    Products, inverses and normal_form skip CrystElement.__post_init__ this
-    way; CrystElement(n, perm, vec) keeps it.
+    Products, inverses, normal_form and power_endomorphism skip
+    CrystElement.__post_init__ this way; CrystElement(n, perm, vec) keeps it.
     """
     element = object.__new__(CrystElement)
     object.__setattr__(element, "n", n)
@@ -368,7 +368,10 @@ def power_endomorphism(n: int, m: int, a: CrystElement) -> CrystElement:
     """
     check_same_strands(a.n, n)
     _require_odd(m)
-    return CrystElement(n, a.perm, _power_offset(n, m, a.perm) + a.vec.scaled(m))
+    check_strand_count(n)
+    offset = _power_offset(n, m, a.perm).coords
+    vec = _checked_vector(n, tuple([x + m * y for x, y in zip(offset, a.vec.coords)]))
+    return _checked_element(n, a.perm, vec)
 
 
 def _letterwise_power(w: BraidWord, m: int) -> CrystElement:

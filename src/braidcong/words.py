@@ -69,9 +69,10 @@ class BraidWord:
 def _checked_word(n: int, letters: tuple[int, ...]) -> BraidWord:
     """A word from letters already known to be in range for n >= 2 strands.
 
-    Products, inverses and powers of checked words, random_word's draws and
-    the coset tree's words, read back along ImageGroup.parents, skip the
-    per-letter check of BraidWord.__post_init__; BraidWord(n, letters) keeps it.
+    Products, inverses and powers of checked words, the draws of random_word,
+    random_pure_word and burau._conjugated_powers, and the coset tree's
+    words, read back along ImageGroup.parents, skip the per-letter check of
+    BraidWord.__post_init__; BraidWord(n, letters) keeps it.
     """
     word = object.__new__(BraidWord)
     object.__setattr__(word, "n", n)
@@ -295,8 +296,13 @@ def pure_generator(n: int, i: int, j: int) -> BraidWord:
     check_strand_count(n)
     check_integer("strand i", i, 1, n - 1)
     check_integer("strand j", j, i + 1, n)
-    # sigma_(j-1) ... sigma_(i+1) sigma_i^2 sigma_(i+1)^-1 ... sigma_(j-1)^-1
-    return _checked_word(n, (*range(j - 1, i, -1), i, i, *range(-i - 1, -j, -1)))
+    return _checked_word(n, _pure_letters(i, j, 1))
+
+
+def _pure_letters(i: int, j: int, sign: int) -> tuple[int, ...]:
+    # sigma_(j-1) ... sigma_(i+1) sigma_i^(2 sign) sigma_(i+1)^-1 ... sigma_(j-1)^-1,
+    # the pure generator for sign 1 and its inverse for sign -1
+    return (*range(j - 1, i, -1), sign * i, sign * i, *range(-i - 1, -j, -1))
 
 
 def full_twist(n: int) -> BraidWord:
@@ -356,17 +362,22 @@ def linking_vector(w: BraidWord) -> LinkingVector:
 def random_word(rng: Random, n: int, max_length: int) -> BraidWord:
     """Uniform random word of length 0..max_length; max_length < 0 raises.
 
-    The letters are rng.choice((1, -1)) * rng.randint(1, n - 1), drawn
-    straight from rng.getrandbits by the rejection loops those two calls run
-    on CPython 3.10 to 3.13: the sign is 2 bits redrawn until below 2, where
-    0 means +1, and the index less one is (n - 1).bit_length() bits redrawn
+    The length is rng.randint(0, max_length) and the letters are
+    rng.choice((1, -1)) * rng.randint(1, n - 1), all drawn straight from
+    rng.getrandbits by the rejection loops those calls run on CPython 3.10
+    to 3.13: the length is (max_length + 1).bit_length() bits redrawn until
+    at most max_length, the sign is 2 bits redrawn until below 2, where 0
+    means +1, and the index less one is (n - 1).bit_length() bits redrawn
     until below n - 1.  So the words, and the state rng is left in, are the
-    same as with the two calls.
+    same as with those calls.
     """
     check_strand_count(n)
     check_integer("max_length", max_length, 0)
-    length = rng.randint(0, max_length)
     bits = rng.getrandbits
+    span = (max_length + 1).bit_length()
+    length = bits(span)
+    while length > max_length:
+        length = bits(span)
     top = n - 1
     width = top.bit_length()
     letters = []
@@ -385,13 +396,15 @@ def random_pure_word(rng: Random, n: int, factors: int) -> BraidWord:
     """Random pure word: a product of factors conjugated standard pure
     generators; factors < 0 raises."""
     check_integer("factors", factors, 0)
-    w = BraidWord(n)
+    check_strand_count(n)
+    letters: list[int] = []
     for _ in range(factors):
-        conj = random_word(rng, n, 4)
+        conj = random_word(rng, n, 4).letters
         i, j = sorted(rng.sample(range(1, n + 1), 2))
-        block = conj * pure_generator(n, i, j) ** rng.choice((1, -1)) * conj.inverse()
-        w = w * block
-    return w
+        letters += conj
+        letters += _pure_letters(i, j, rng.choice((1, -1)))
+        letters += [-x for x in reversed(conj)]
+    return _checked_word(n, tuple(letters))
 
 
 def all_permutations(n: int):

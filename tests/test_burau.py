@@ -369,6 +369,91 @@ def test_transvection_model_agreement():
         assert check_transvection_model(n, m, seed=603)
 
 
+def _composed_conjugated_powers(rng, n, k):
+    # oracle: the product formula _conjugated_powers used before it built its
+    # letters in one list
+    w = BraidWord(n)
+    for _ in range(rng.randint(1, 3)):
+        conj = random_word(rng, n, 6)
+        i = rng.randint(1, n - 1)
+        power = BraidWord(n, (rng.choice((1, -1)) * i,) * k)
+        w = w * conj * power * conj.inverse()
+    return w
+
+
+def test_conjugated_powers_keep_the_composed_draw_stream():
+    checked = 0
+    for n in range(2, 9):
+        for k in range(2, 8):
+            fast, oracle = Random(10 * n + k), Random(10 * n + k)
+            for _ in range(4):
+                w = burau._conjugated_powers(fast, n, k)
+                assert w == _composed_conjugated_powers(oracle, n, k), (n, k)
+                assert fast.getstate() == oracle.getstate(), (n, k)
+                assert is_member(w, k)
+                checked += 1
+    assert checked == 7 * 6 * 4
+
+
+def _two_matrix_agreement(n, m, seed):
+    # oracle: check_transvection_model's loop with both models' full images
+    rng = Random(seed)
+    for t in range(200):
+        if t % 2 == 0:
+            w = random_word(rng, n, 25)
+        else:
+            w = burau._conjugated_powers(rng, n, m)
+        if (burau_matrix_mod(w, m) == identity(n)) != (
+            burau._chain_matrix_mod(w, m) == identity(n - 1)
+        ):
+            return False
+    return True
+
+
+def _row_zero_fixers(rng, n):
+    # words in sigma_2 .. sigma_(n-1) only: they fix row 0, so the second
+    # stage of the membership test decides them
+    for length in (1, 2, 3, 6, 12, 25):
+        yield BraidWord(n, tuple(rng.choice((1, -1)) * rng.randint(2, n - 1) for _ in range(length)))
+
+
+def test_membership_screen_matches_the_full_image():
+    """is_member walks row 0 first; the full mod-m image is the oracle."""
+    rng = Random(2200)
+    seen = {True: 0, False: 0}
+    fixers = 0
+    for n in range(2, 8):
+        one = identity(n)
+        for m in range(2, 10):
+            words = [random_word(rng, n, 30) for _ in range(12)]
+            words += [burau._conjugated_powers(rng, n, m) for _ in range(6)]
+            words += [BraidWord(n, (i,) * m) for i in range(1, n)]
+            if n >= 3:
+                row_zero = list(_row_zero_fixers(rng, n))
+                assert all(burau_matrix_mod(w, m)[0] == one[0] for w in row_zero)
+                words += row_zero
+                words += [w**m for w in row_zero]
+                fixers += 2 * len(row_zero)
+            for w in words:
+                want = burau_matrix_mod(w, m) == one
+                assert is_member(w, m) == want, (w, m)
+                seen[want] += 1
+    # both answers, and both answers past row 0, are exercised
+    assert min(seen.values()) > 300
+    assert fixers == 5 * 8 * 12
+    assert not is_member(BraidWord(4, (2, 3)), 2)
+    assert is_member(BraidWord(3, (2, 2, 2)), 3)
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 3), (3, 7), (5, 2), (5, 3), (5, 4), (7, 5)])
+def test_transvection_check_matches_the_two_matrix_comparison(monkeypatch, n, m):
+    for seed in (0, 603, 2026):
+        assert check_transvection_model(n, m, seed) is _two_matrix_agreement(n, m, seed)
+    # a wrong chain model must be caught the same way by both
+    monkeypatch.setattr(burau, "_chain_matrix_mod", lambda w, m: identity(w.n - 1))
+    assert check_transvection_model(n, m, 5) is _two_matrix_agreement(n, m, 5) is False
+
+
 def _chain_product_mod(w, m):
     # oracle: one full matrix product per transvection generator
     out = identity(w.n - 1)

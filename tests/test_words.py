@@ -361,6 +361,46 @@ def test_random_pure_word_rejects_a_negative_factor_count_before_drawing():
     assert random_pure_word(rng, 3, 0) == BraidWord(3)
 
 
+def _composed_pure_word(rng, n, factors):
+    # oracle: the product formula random_pure_word used before it built its
+    # letters in one list
+    w = BraidWord(n)
+    for _ in range(factors):
+        conj = random_word(rng, n, 4)
+        i, j = sorted(rng.sample(range(1, n + 1), 2))
+        w = w * (conj * pure_generator(n, i, j) ** rng.choice((1, -1)) * conj.inverse())
+    return w
+
+
+def test_random_pure_word_keeps_the_composed_draw_stream():
+    """One list of letters gives the word of the product formula, draw for
+    draw, and leaves the generator in the same state."""
+    checked = 0
+    for n in range(3, 9):
+        for factors in range(5):
+            seed = 100 * n + factors
+            fast, oracle = Random(seed), Random(seed)
+            for _ in range(4):
+                w = random_pure_word(fast, n, factors)
+                assert w == _composed_pure_word(oracle, n, factors), (n, factors)
+                assert fast.getstate() == oracle.getstate(), (n, factors)
+                assert permutation(w).is_identity()
+                checked += 1
+    assert checked == 6 * 5 * 4
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [(1, "strand count must be at least 2, got 1"), (2.5, "strand count must be an integer, got 2.5")],
+)
+def test_random_pure_word_rejects_a_bad_strand_count_before_drawing(n, message):
+    rng = Random(7)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_pure_word(rng, n, 0)
+    assert rng.getstate() == state
+
+
 def test_permutation_rejects_points_outside_its_range():
     p = Permutation((2, 1, 3))
     assert [p(x) for x in (1, 2, 3)] == [2, 1, 3]
