@@ -61,7 +61,8 @@ def letter_order(n: int) -> tuple[int, ...]:
 
 
 def _letter_pos(letter: int) -> int:
-    # the column of a letter in letter_order, and so in ImageGroup.edges
+    # the position of a letter in letter_order, and so in each element's
+    # run of ImageGroup.edges
     return 2 * abs(letter) - (2 if letter > 0 else 1)
 
 
@@ -77,10 +78,12 @@ class ImageGroup:
     """The finite image of the mod-m representation, numbered in BFS order.
 
     Element 0 is the identity.  Discovery scans elements in numbering order
-    and letters in letter_order; edges[k][t] is the element reached from
-    element k by right multiplication with letter letter_order(n)[t].
-    parents[k] is the (element, letter) pair that first reached element k,
-    None for the identity; these pairs form the breadth-first tree.
+    and letters in letter_order.  The table is flat, one entry per edge: with
+    width = len(letters), edges[k * width + t] is the element reached from
+    element k by right multiplication with letters[t].  tree[k] is the index
+    into edges of the edge that first reached element k, so its parent is
+    tree[k] // width and its letter letters[tree[k] % width]; these edges
+    form the breadth-first tree, and tree[0], for the identity, is unused.
 
     Row r of g x is (row r of g) x, so every row of every element lies in the
     orbit of the unit rows.  rows holds the orbit rows the search met, unit
@@ -98,8 +101,8 @@ class ImageGroup:
     m: int
     letters: tuple[int, ...]
     elements: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, ...], ...]
-    parents: tuple[tuple[int, int] | None, ...] = field(compare=False, repr=False)
+    edges: tuple[int, ...]
+    tree: array = field(compare=False, repr=False)
     rows: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
     row_images: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
@@ -115,20 +118,22 @@ class ImageGroup:
     def trace(self, coset: int, w: BraidWord) -> int:
         check_same_strands(w.n, self.n)
         check_integer("coset", coset, 1, self.size)
+        width, edges = len(self.letters), self.edges
         x = coset - 1
         for letter in w.letters:
-            x = self.edges[x][_letter_pos(letter)]
+            x = edges[x * width + _letter_pos(letter)]
         return x + 1
 
     def transversal(self, coset: int) -> BraidWord:
         """The tree word carrying coset 1 to the given coset."""
         check_integer("coset", coset, 1, self.size)
-        # walk the parents back to the identity; every letter is in letter_order
+        # walk the tree back to the identity; every letter is in letter_order
+        width, tree = len(self.letters), self.tree
         letters: list[int] = []
-        step = self.parents[coset - 1]
-        while step is not None:
-            letters.append(step[1])
-            step = self.parents[step[0]]
+        k = coset - 1
+        while k:
+            k, t = divmod(tree[k], width)
+            letters.append(self.letters[t])
         return _checked_word(self.n, tuple(reversed(letters)))
 
 
@@ -156,8 +161,8 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
     start = tuple(range(n))
     states = [start]
     number = {start: 0}.setdefault
-    parents: list[tuple[int, int] | None] = [None]
-    edges: list[tuple[int, ...]] = []
+    tree = array("q", [0])
+    edges: list[int] = []
     k = 0
     while k < len(states):
         level = states[k:]
@@ -186,20 +191,21 @@ def enumerate_image(n: int, m: int, element_cap: int = 10**6) -> ImageGroup:
                         f"partial size {size}",
                         partial=size,
                     )
-                f = len(targets)
                 states.append(product)
-                parents.append((k + f // width, letters[f % width]))
+                tree.append(k * width + len(targets))
                 size += 1
             targets.append(target)
-        edges += zip(*[iter(targets)] * width)
+        edges += targets
         k += len(level)
+    # the state numbers are no longer needed; free them before the copies
+    del number
     return ImageGroup(
         n=n,
         m=m,
         letters=letters,
         elements=tuple(states),
         edges=tuple(edges),
-        parents=tuple(parents),
+        tree=tree,
         rows=tuple(rows),
         row_images=tuple(map(tuple, tables)),
     )
@@ -244,11 +250,11 @@ def _rewrite(table: ImageGroup, start: int, letters: Sequence[int]) -> tuple[Spa
     # Schreier rewriting: walk the letters from a 0-based coset, summing one
     # exponent per (coset, generator index) coordinate; returns the nonzero
     # sums and the final coset
-    n, edges = table.n, table.edges
+    n, width, edges = table.n, len(table.letters), table.edges
     coords: SparseVector = {}
     x = start
     for letter in letters:
-        y = edges[x][_letter_pos(letter)]
+        y = edges[x * width + _letter_pos(letter)]
         k = _edge_coordinate(n, x, y, letter)
         coords[k] = coords.get(k, 0) + (1 if letter > 0 else -1)
         x = y
@@ -358,11 +364,12 @@ def _edge_coordinate(n: int, source: int, target: int, letter: int) -> int:
 def _non_tree_coordinates(table: ImageGroup) -> list[int]:
     # the Schreier coordinates off the search tree, ascending: the tree edge
     # into coset c, from its parent, carries a trivial generator
-    n = table.n
-    tree = bytearray(table.size * (n - 1))
-    for c, (parent, letter) in enumerate(table.parents[1:], start=1):
-        tree[_edge_coordinate(n, parent, c, letter)] = 1
-    return [k for k, on_tree in enumerate(tree) if not on_tree]
+    n, width, tree = table.n, len(table.letters), table.tree
+    on_tree = bytearray(table.size * (n - 1))
+    for c in range(1, table.size):
+        parent, t = divmod(tree[c], width)
+        on_tree[_edge_coordinate(n, parent, c, table.letters[t])] = 1
+    return [k for k, on in enumerate(on_tree) if not on]
 
 
 def _relation_rows(table: ImageGroup) -> tuple[list[array], list[int]]:
@@ -447,13 +454,15 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     for j, t in enumerate(wanted):
         for k, x in ab.right_columns[t].items():
             right_wanted[k][j] = x
-    edges = table.edges
+    width, letters, edges, tree = len(table.letters), table.letters, table.edges, table.tree
     # y[c] = start tau_c and prefix[c] = U_c, in BFS order: parents come first
     y = [table.trace(1, w.inverse()) - 1]
     prefix: list[SparseVector] = [{}]
-    for parent, letter in table.parents[1:]:
+    for c in range(1, table.size):
+        parent, t = divmod(tree[c], width)
+        letter = letters[t]
         here = y[parent]
-        there = edges[here][_letter_pos(letter)]
+        there = edges[here * width + t]
         row = dict(prefix[parent])
         # the tree letter's generator, with its sign
         generator = right_wanted[_edge_coordinate(n, here, there, letter)]
@@ -465,7 +474,7 @@ def conjugation_action(ab: AbelianizationResult, w: BraidWord) -> ActionMatrix:
     theta_right: list[SparseVector] = [{}] * ab.num_generators
     for s in _non_tree_coordinates(table):
         c, i = divmod(s, n - 1)
-        target = edges[c][_letter_pos(i + 1)]
+        target = edges[c * width + _letter_pos(i + 1)]
         row = dict(prefix[c])
         generator = right_wanted[_edge_coordinate(n, y[c], y[target], i + 1)]
         matrices.add_multiple(row, generator, -1)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from functools import cache
-from itertools import compress
+from itertools import compress, count
 
 IntMatrix = tuple[tuple[int, ...], ...]
 SparseVector = dict[int, int]
@@ -80,7 +80,8 @@ def mat_vec(a: IntMatrix, v: tuple[int, ...]) -> tuple[int, ...]:
 
 def sparse(row: Sequence[int]) -> SparseVector:
     """The nonzero entries of a dense row, by position."""
-    return dict(compress(enumerate(row), row))
+    # compress finds the nonzero positions in C; only those entries are read
+    return {k: row[k] for k in compress(count(), row)}
 
 
 def add_multiple(dst: SparseVector, src: SparseVector, q: int) -> None:

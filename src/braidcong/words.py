@@ -71,7 +71,7 @@ def _checked_word(n: int, letters: tuple[int, ...]) -> BraidWord:
 
     Products, inverses and powers of checked words, the draws of random_word,
     random_pure_word and burau._conjugated_powers, and the coset tree's
-    words, read back along ImageGroup.parents, skip the per-letter check of
+    words, read back along ImageGroup.tree, skip the per-letter check of
     BraidWord.__post_init__; BraidWord(n, letters) keeps it.
     """
     word = object.__new__(BraidWord)

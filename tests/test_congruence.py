@@ -3,6 +3,7 @@
 import argparse
 import hashlib
 import math
+import tracemalloc
 from dataclasses import replace
 from random import Random
 
@@ -61,6 +62,21 @@ GOLDEN_32_ACTION = (
 GOLDEN_32_TRANSVERSALS = ((), (1,), (2,), (1, 2), (2, 1), (1, 2, 1))
 
 
+def _edge_rows(g):
+    # the flat edge table regrouped into one row of targets per element
+    width = len(g.letters)
+    assert len(g.edges) == g.size * width
+    return tuple(zip(*[iter(g.edges)] * width))
+
+
+def _tree_parents(g):
+    # the tree decoded into the (element, letter) pair that first reached
+    # each element, None for the identity
+    width = len(g.letters)
+    assert len(g.tree) == g.size
+    return (None,) + tuple((e // width, g.letters[e % width]) for e in g.tree[1:])
+
+
 def test_membership_basics():
     assert is_member(BraidWord(3, ()), 2)
     assert is_member(BraidWord(3, (1, 1)), 2)
@@ -88,7 +104,7 @@ def test_enumeration_golden_numbering():
     assert g.letters == (1, -1, 2, -2)
     flat = (bytes(x for row in g.matrix(k) for x in row) for k in range(g.size))
     assert tuple(e.hex() for e in flat) == GOLDEN_32_ELEMENTS
-    assert g.edges[0] == (1, 1, 2, 2)
+    assert _edge_rows(g)[0] == (1, 1, 2, 2)
 
 
 def test_image_orders():
@@ -352,13 +368,15 @@ def _one_state_scan(n, m):
 def test_level_scan_matches_the_one_state_scan(n, m):
     expected = _one_state_scan(n, m)
     g = enumerate_image(n, m)
-    assert {name: getattr(g, name) for name in expected} == expected
+    got = {name: getattr(g, name) for name in expected if name not in ("edges", "parents")}
+    got.update(edges=_edge_rows(g), parents=_tree_parents(g))
+    assert got == expected
 
 
 def test_enumeration_is_closed_under_generators():
     g = enumerate_image(3, 3)
     gens = [burau_matrix_mod(BraidWord(3, (letter,)), 3) for letter in g.letters]
-    for k, edges in enumerate(g.edges):
+    for k, edges in enumerate(_edge_rows(g)):
         for pos, target in enumerate(edges):
             expect = _product_mod(g.matrix(k), gens[pos], 3)
             assert g.matrix(target) == expect
@@ -399,9 +417,10 @@ def test_image_search_agrees_with_modular_matrix_products(n, m):
     table = coset_table(n, m)
     mats = [g.matrix(k) for k in range(g.size)]
     gens = [burau_matrix_mod(BraidWord(n, (letter,)), m) for letter in g.letters]
+    rows = _edge_rows(g)
     for k in range(g.size):
         assert mats[k] == burau_matrix_mod(table.transversal(k + 1), m)
-        for pos, target in enumerate(g.edges[k]):
+        for pos, target in enumerate(rows[k]):
             assert mats[target] == _product_mod(mats[k], gens[pos], m)
     positive = [x for l, x in zip(g.letters, gens) if l > 0]
     brute = tuple(
@@ -415,7 +434,7 @@ def test_image_search_agrees_with_modular_matrix_products(n, m):
     seen = [True] + [False] * (g.size - 1)
     for k in range(g.size):
         for pos, letter in enumerate(g.letters):
-            t = g.edges[k][pos]
+            t = rows[k][pos]
             if not seen[t]:
                 seen[t] = True
                 parents[t] = (k, letter)
@@ -423,7 +442,7 @@ def test_image_search_agrees_with_modular_matrix_products(n, m):
     for k in range(1, g.size):
         words[k] = words[parents[k][0]] + (parents[k][1],)
     assert tuple(table.transversal(c).letters for c in range(1, g.size + 1)) == tuple(words)
-    assert g.parents == tuple(parents)
+    assert _tree_parents(g) == tuple(parents)
     # the numbering is a bijection onto the distinct matrices
     assert len(set(mats)) == g.size
 
@@ -459,12 +478,33 @@ def test_five_strand_level_four_image_order():
 def test_coset_table_layout():
     t = coset_table(3, 2)
     assert t.size == 6
-    assert t.edges == GOLDEN_32_ACTION
+    assert _edge_rows(t) == GOLDEN_32_ACTION
+    # the tree edge into each element, as an index into the flat edges
+    assert t.tree.tolist()[1:] == [0, 2, 6, 8, 12]
     assert tuple(t.transversal(c).letters for c in range(1, 7)) == GOLDEN_32_TRANSVERSALS
     # public interface is 1-based with coset 1 the subgroup itself
     assert t.trace(1, BraidWord(3, (1,))) == 2
     assert t.trace(1, BraidWord(3, (2,))) == 3
     assert t.trace(2, BraidWord(3, (-1,))) == 1
+
+
+def test_image_holds_its_table_flat():
+    """The image keeps few bytes per element once the search returns.
+
+    The edges are one flat tuple and the tree one array, so an element costs
+    its state tuple, its number, its width entries of edges and one tree
+    entry: about 169 bytes at (4, 5) on CPython 3.11, where a tuple of
+    edges and a parent pair per element held about 301.
+    """
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        g = enumerate_image(4, 5)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert g.size == 15000
+    assert held / g.size < 230
 
 
 def test_coset_table_is_the_image():
