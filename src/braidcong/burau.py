@@ -49,39 +49,31 @@ def burau_matrix(w: BraidWord) -> IntMatrix:
     rows = [list(row) for row in matrices.identity(w.n)]
     for letter in w.letters:
         if letter > 0:
-            i = letter - 1
-            for row in rows:
-                a = row[i]
-                row[i] = a + a + row[letter]
-                row[letter] = -a
+            p, q = letter - 1, letter
         else:
-            j = -letter
-            i = j - 1
-            for row in rows:
-                b = row[j]
-                row[j] = row[i] + b + b
-                row[i] = -b
+            p, q = -letter, -letter - 1
+        for row in rows:
+            a = row[p]
+            row[p] = a + a + row[q]
+            row[q] = -a
     return tuple(map(tuple, rows))
 
 
 def _right_multiply(rows: list[list[int]], letters: Iterable[int], m: int) -> None:
     # right-multiply the rows in place by each letter's generator block, with
-    # entries reduced into [0, m): a letter changes columns i and i + 1 only,
-    # sigma_(i+1) maps (a, b) to (2a + b, -a) and its inverse to (-b, a + 2b)
+    # entries reduced into [0, m).  Letter +-i changes columns i - 1 and i
+    # only: sigma_i maps the pair (p, q) = (i - 1, i) from (a, b) to
+    # (2a + b, -a), and its inverse is that block conjugated by the swap of
+    # the two columns, so it applies the same rule to the pair (i, i - 1)
     for letter in letters:
         if letter > 0:
-            i = letter - 1
-            for row in rows:
-                a = row[i]
-                row[i] = (a + a + row[letter]) % m
-                row[letter] = -a % m
+            p, q = letter - 1, letter
         else:
-            j = -letter
-            i = j - 1
-            for row in rows:
-                b = row[j]
-                row[j] = (row[i] + b + b) % m
-                row[i] = -b % m
+            p, q = -letter, -letter - 1
+        for row in rows:
+            a = row[p]
+            row[p] = (a + a + row[q]) % m
+            row[q] = -a % m
 
 
 def _is_identity_mod(w: BraidWord, m: int) -> bool:
@@ -256,23 +248,21 @@ def transvection_generator(n: int, i: int, sign: int = 1) -> IntMatrix:
 
 
 def _chain_matrix_mod(w: BraidWord, m: int) -> IntMatrix:
-    # right-multiply in place by each transvection: for letter +-(i+1),
-    # column i-1 gains +-column i and column i+1 loses it.  Each row carries
-    # a scratch column at either end, so column c sits at c + 1 and the
-    # letters at the ends of the chain need no bounds test
+    # right-multiply in place by each transvection: for sigma_(i+1), column
+    # i-1 gains column i and column i+1 loses it; its inverse exchanges the
+    # two, as the Burau walkers swap their pair.  Each row carries a scratch
+    # column at either end, so column c sits at c + 1 and the letters at the
+    # ends of the chain need no bounds test
     rows = [[0, *row, 0] for row in matrices.identity(w.n - 1)]
     for letter in w.letters:
         if letter > 0:
-            for row in rows:
-                x = row[letter]
-                row[letter - 1] = (row[letter - 1] + x) % m
-                row[letter + 1] = (row[letter + 1] - x) % m
+            j, gain, lose = letter, letter - 1, letter + 1
         else:
-            j = -letter
-            for row in rows:
-                x = row[j]
-                row[j - 1] = (row[j - 1] - x) % m
-                row[j + 1] = (row[j + 1] + x) % m
+            j, gain, lose = -letter, -letter + 1, -letter - 1
+        for row in rows:
+            x = row[j]
+            row[gain] = (row[gain] + x) % m
+            row[lose] = (row[lose] - x) % m
     return tuple(tuple(row[1:-1]) for row in rows)
 
 

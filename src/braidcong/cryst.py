@@ -132,10 +132,10 @@ class CrystElement:
 
 
 def _checked_element(n: int, perm: Permutation, vec: LinkingVector) -> CrystElement:
-    """An element from components already known to be on n strands.
+    """An element from components already known to fit, skipping the check.
 
-    Products, inverses, normal_form and power_endomorphism skip
-    CrystElement.__post_init__ this way; CrystElement(n, perm, vec) keeps it.
+    The caller guarantees what CrystElement.__post_init__ would check:
+    n >= 2 and perm and vec are both on n strands.
     """
     element = object.__new__(CrystElement)
     object.__setattr__(element, "n", n)

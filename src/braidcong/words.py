@@ -67,12 +67,10 @@ class BraidWord:
 
 
 def _checked_word(n: int, letters: tuple[int, ...]) -> BraidWord:
-    """A word from letters already known to be in range for n >= 2 strands.
+    """A word from letters already known to be in range, skipping the check.
 
-    Products, inverses and powers of checked words, the draws of random_word,
-    random_pure_word and burau._conjugated_powers, and the coset tree's
-    words, read back along ImageGroup.tree, skip the per-letter check of
-    BraidWord.__post_init__; BraidWord(n, letters) keeps it.
+    The caller guarantees what BraidWord.__post_init__ would check: n >= 2
+    and letters is a tuple of integers k with 0 < |k| < n.
     """
     word = object.__new__(BraidWord)
     object.__setattr__(word, "n", n)
@@ -142,11 +140,10 @@ class Permutation:
 
 
 def _checked_permutation(images: tuple[int, ...]) -> Permutation:
-    """A permutation from images already known to be one of 1..len(images).
+    """A permutation from images already known to be valid, skipping the check.
 
-    Products, inverses, permutation(w), normal_form's walk and the torsion
-    candidates of cryst._first_of_type skip the checks of
-    Permutation.__post_init__ this way; Permutation(images) keeps them.
+    The caller guarantees what Permutation.__post_init__ would check: images
+    is a tuple of integers holding each of 1..len(images) once.
     """
     perm = object.__new__(Permutation)
     object.__setattr__(perm, "images", images)
@@ -267,11 +264,10 @@ class LinkingVector:
 
 
 def _checked_vector(n: int, coords: tuple[int, ...]) -> LinkingVector:
-    """A vector from pair_count(n) coordinates, n >= 2, already known to fit.
+    """A vector from coordinates already known to fit, skipping the check.
 
-    Sums, differences, negations and multiples of checked vectors, the zero
-    vector, the group law's products and torsion_search's solutions skip
-    LinkingVector.__post_init__ this way; LinkingVector(n, coords) keeps it.
+    The caller guarantees what LinkingVector.__post_init__ would check:
+    n >= 2 and coords is a tuple of pair_count(n) integers.
     """
     vec = object.__new__(LinkingVector)
     object.__setattr__(vec, "n", n)

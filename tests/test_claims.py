@@ -44,6 +44,7 @@ def test_an_exception_inside_a_claim_propagates(monkeypatch):
 _VERIFY_BODY_SHA256 = {
     0: "2a07f15e43e2d4acfb5d34e2289265bf9da8338eb32c0efb45fb50274244f32d",
     1: "52cb7e6c00149cc8d46050a0e4891eef8dbe5d205149b77792a9d3cdb70db7d7",
+    2026: "976347de178a915a8dca37b863a941093ed70e0e0129943a986af93ad6e638ba",
 }
 
 
